@@ -193,6 +193,41 @@ void BM_SimulatorDay(benchmark::State& state) {
 }
 BENCHMARK(BM_SimulatorDay)->Unit(benchmark::kMillisecond);
 
+// One noisy diurnal day (noise 0.02, every second its own trace segment)
+// through BmlScheduler, once with the oracle and once with the trailing
+// moving max. The moving max answers stable_until from the trace's change
+// points, and on this trace every window holds more segments than the
+// walk cap, so the pair measures what refusing them costs on top of the
+// oracle's cached window maxima. Each iteration builds a fresh predictor,
+// as a sweep scenario does. CI holds moving-max to <= 5x oracle-max.
+template <typename MakePredictor>
+void replay_noisy_day(benchmark::State& state, MakePredictor make) {
+  auto d = std::make_shared<BmlDesign>(BmlDesign::build(real_catalog()));
+  DiurnalOptions options;
+  options.peak = 1500.0;
+  options.noise = 0.02;
+  const LoadTrace trace = diurnal_trace(options, 1);
+  const Simulator simulator(d->candidates());
+  for (auto _ : state) {
+    BmlScheduler scheduler(d, make());
+    benchmark::DoNotOptimize(simulator.run(scheduler, trace));
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(trace.size()));
+}
+
+void BM_NoisyDayOracleMax(benchmark::State& state) {
+  replay_noisy_day(state,
+                   [] { return std::make_shared<OracleMaxPredictor>(); });
+}
+BENCHMARK(BM_NoisyDayOracleMax)->Unit(benchmark::kMillisecond);
+
+void BM_NoisyDayMovingMax(benchmark::State& state) {
+  replay_noisy_day(state,
+                   [] { return std::make_shared<MovingMaxPredictor>(378.0); });
+}
+BENCHMARK(BM_NoisyDayMovingMax)->Unit(benchmark::kMillisecond);
+
 // Three colocated applications (diurnal + worldcup + steady) replayed for
 // one day through the multi-workload layer: the per-app attribution and
 // coordinator-merge overhead on top of BM_SimulatorDay. Traces and

@@ -56,6 +56,8 @@ import sys
 GATED = [
     "BM_SimulatorDay",
     "BM_MultiAppSimulatorDay",
+    "BM_NoisyDayOracleMax",
+    "BM_NoisyDayMovingMax",
     "BM_FleetScaleDay",
     "BM_FleetScaleChurnDay",
     "BM_SimulatorWeekSteadyEventDriven",

@@ -1,8 +1,8 @@
 #include "predict/predictor.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
-#include <deque>
 #include <limits>
 #include <stdexcept>
 
@@ -13,54 +13,76 @@ namespace bml {
 namespace {
 
 /// Conservative first time strictly after `now` at which the sliding-window
-/// maximum max_over(t - lead, t - lag) may change value, found by walking
-/// the trace's piecewise-constant segments via next_change(). Two events
-/// can move the max:
+/// maximum max_over(t - lead, t - lag) may change value. Two events can
+/// move the max:
 ///   * a sample larger than the current max enters the window — index
 ///     j >= now - lag enters at t = j + lag + 1;
 ///   * the last window index attaining the max slides out — index i leaves
 ///     at t = i + lead + 1 (a max of 0 cannot drop, rates are >= 0).
-/// Both walks are capped: past kMaxSegments segments the trace is too
-/// fragmented for batching to pay off and the bound degrades to now + 1,
-/// preserving per-second querying.
+/// Both are found by walking the trace's piecewise-constant segments with a
+/// cursor into change_points(). Both walks are capped: past kMaxSegments
+/// segments the trace is too fragmented for batching to pay off and the
+/// bound degrades to now + 1, preserving per-second querying. The window's
+/// own segment count takes two searches over the change points, so a
+/// fragmented window is refused in O(log n) before any walk — O(1) when
+/// `cursor` holds the previous, one-second-earlier probe's slots.
 TimePoint sliding_max_stable_until(const LoadTrace& trace, TimePoint now,
-                                   TimePoint lead, TimePoint lag) {
-  constexpr int kMaxSegments = 64;
+                                   TimePoint lead, TimePoint lag,
+                                   SlidingMaxCursor& cursor) {
+  constexpr std::ptrdiff_t kMaxSegments = 64;
   constexpr TimePoint kNever = std::numeric_limits<TimePoint>::max();
   const auto size = static_cast<TimePoint>(trace.size());
-  const double v = trace.max_over(now - lead, now - lag);
+  const auto values = trace.series().values();
+  const std::vector<std::size_t>& changes = trace.change_points();
+  // First change point after index `i`, resumed from `hint`.
+  const auto first_change_after = [&](TimePoint i, std::size_t& hint) {
+    const auto idx = static_cast<std::size_t>(i);
+    return changes.begin() +
+           static_cast<std::ptrdiff_t>(partition_point_hinted(
+               changes, [idx](std::size_t c) { return c <= idx; }, hint));
+  };
 
+  // The window [lo, hi) holds 1 + #{change points c : lo < c <= hi - 1}
+  // segments. More than one segment means two distinct non-negative
+  // values, so a window past the cap always has a max > 0 to walk.
+  const TimePoint lo = std::max<TimePoint>(now - lead, 0);
+  const TimePoint hi = std::min(now - lag, size);
+  double v = 0.0;  // the window max, max_over(now - lead, now - lag)
   TimePoint leave_at = kNever;
-  if (v > 0.0) {
-    const TimePoint lo = std::max<TimePoint>(now - lead, 0);
-    const TimePoint hi = std::min(now - lag, size);
+  if (lo < hi) {
+    const auto first = first_change_after(lo, cursor.window_begin);
+    const auto last = first_change_after(hi - 1, cursor.window_end);
+    if (last - first >= kMaxSegments) return now + 1;
     TimePoint last_attaining = -1;
-    int segments = 0;
-    for (TimePoint cur = lo; cur < hi;) {
-      if (++segments > kMaxSegments) return now + 1;
-      const TimePoint seg_end = std::min(trace.next_change(cur), hi);
-      if (trace.at(cur) == v) last_attaining = seg_end - 1;
-      cur = seg_end;
+    TimePoint seg_begin = lo;
+    for (auto it = first;; ++it) {
+      const TimePoint seg_end = it == last ? hi : static_cast<TimePoint>(*it);
+      const double x = values[static_cast<std::size_t>(seg_begin)];
+      if (x >= v) {  // ties move to the later segment: the last attaining
+        v = x;
+        last_attaining = seg_end - 1;
+      }
+      if (it == last) break;
+      seg_begin = seg_end;
     }
-    if (last_attaining >= 0) leave_at = last_attaining + lead + 1;
+    if (v > 0.0) leave_at = last_attaining + lead + 1;
   }
 
   // Samples beyond the trace end are the implicit 0, which never exceeds a
-  // non-negative max, so the scan stops at the trace end. Bailing out at
-  // the segment cap is still sound: every sample walked so far was <= v.
+  // non-negative max, so the walk stops at the trace end — where the
+  // cursor runs out of change points. Bailing out at the segment cap is
+  // still sound: every sample walked so far was <= v.
   TimePoint enter_at = kNever;
-  int segments = 0;
-  for (TimePoint cur = std::max<TimePoint>(now - lag, 0);
-       cur < size && cur + lag + 1 < leave_at;) {
-    if (trace.at(cur) > v) {
+  TimePoint cur = std::max<TimePoint>(now - lag, 0);
+  auto next = first_change_after(cur, cursor.enter);
+  for (std::ptrdiff_t segments = 1; cur < size && cur + lag + 1 < leave_at;
+       ++segments) {
+    if (values[static_cast<std::size_t>(cur)] > v ||
+        segments > kMaxSegments) {
       enter_at = cur + lag + 1;
       break;
     }
-    if (++segments > kMaxSegments) {
-      enter_at = cur + lag + 1;
-      break;
-    }
-    cur = trace.next_change(cur);
+    cur = next == changes.end() ? size : static_cast<TimePoint>(*next++);
   }
 
   return std::max(std::min(enter_at, leave_at), now + 1);
@@ -70,34 +92,31 @@ TimePoint sliding_max_stable_until(const LoadTrace& trace, TimePoint now,
 
 void OracleMaxPredictor::rebuild_cache(const LoadTrace& trace,
                                        Seconds horizon) {
-  const std::size_t n = trace.size();
+  const auto values = trace.series().values();
+  const std::size_t n = values.size();
   const auto w = static_cast<std::size_t>(horizon);
   window_max_.assign(n, 0.0);
-  // Monotonic deque of indices with decreasing values over [t, t + w).
-  std::deque<std::size_t> deque;
-  // Seed with the first window, then slide leftwards... simplest is a
-  // right-to-left sparse approach; a forward pass works too: maintain the
-  // deque over a window that advances with t.
+  // Monotone queue of indices over [t, t + w), values decreasing front to
+  // back, kept in a power-of-two ring: it never holds more than w + 1.
+  std::vector<std::size_t> ring(std::bit_ceil(std::min(n, w) + 1));
+  const std::size_t mask = ring.size() - 1;
+  std::size_t head = 0;   // live slots are [head, tail), taken mod the ring
+  std::size_t tail = 0;
   std::size_t right = 0;  // first index not yet inserted
   for (std::size_t t = 0; t < n; ++t) {
-    while (right < std::min(n, t + w)) {
-      const double v = trace.at(static_cast<TimePoint>(right));
-      while (!deque.empty() &&
-             trace.at(static_cast<TimePoint>(deque.back())) <= v)
-        deque.pop_back();
-      deque.push_back(right);
-      ++right;
+    for (; right < std::min(n, t + w); ++right) {
+      while (tail != head && values[ring[(tail - 1) & mask]] <= values[right])
+        --tail;
+      ring[tail++ & mask] = right;
     }
-    while (!deque.empty() && deque.front() < t) deque.pop_front();
-    window_max_[t] =
-        deque.empty() ? 0.0 : trace.at(static_cast<TimePoint>(deque.front()));
+    while (tail != head && ring[head & mask] < t) ++head;
+    window_max_[t] = tail == head ? 0.0 : values[ring[head & mask]];
   }
   window_change_points_.clear();
   for (std::size_t t = 1; t < n; ++t)
     if (window_max_[t] != window_max_[t - 1])
       window_change_points_.push_back(t);
-  cached_trace_ = &trace;
-  cached_size_ = n;
+  cached_trace_id_ = trace.id();
   cached_horizon_ = horizon;
   change_hint_ = 0;
 }
@@ -107,8 +126,7 @@ void OracleMaxPredictor::ensure_cache(const LoadTrace& trace, TimePoint now,
   if (horizon <= 0.0)
     throw std::invalid_argument("OracleMaxPredictor: horizon must be > 0");
   if (now < 0) throw std::invalid_argument("OracleMaxPredictor: now < 0");
-  if (cached_trace_ != &trace || cached_size_ != trace.size() ||
-      cached_horizon_ != horizon)
+  if (cached_trace_id_ != trace.id() || cached_horizon_ != horizon)
     rebuild_cache(trace, horizon);
 }
 
@@ -161,7 +179,7 @@ TimePoint MovingMaxPredictor::stable_until(const LoadTrace& trace,
                                            TimePoint now,
                                            Seconds /*horizon*/) {
   return sliding_max_stable_until(trace, now,
-                                  static_cast<TimePoint>(window_), 0);
+                                  static_cast<TimePoint>(window_), 0, cursor_);
 }
 
 EwmaPredictor::EwmaPredictor(double alpha, double headroom)
@@ -267,15 +285,17 @@ TimePoint SeasonalPredictor::stable_until(const LoadTrace& trace,
   if (now < period) {
     // Warm-up branch is the trailing-window max; the formula itself
     // switches at `period`, so never claim stability past it.
-    return std::min(sliding_max_stable_until(trace, now, h, 0), period);
+    return std::min(
+        sliding_max_stable_until(trace, now, h, 0, seasonal_cursor_), period);
   }
   // The forecast is a deterministic function of three windowed maxima; it
   // is stable while all three are.
-  const TimePoint seasonal =
-      sliding_max_stable_until(trace, now, period, period - h);
-  const TimePoint recent = sliding_max_stable_until(trace, now, 3600, 0);
-  const TimePoint recent_yesterday =
-      sliding_max_stable_until(trace, now, period + 3600, period);
+  const TimePoint seasonal = sliding_max_stable_until(
+      trace, now, period, period - h, seasonal_cursor_);
+  const TimePoint recent =
+      sliding_max_stable_until(trace, now, 3600, 0, recent_cursor_);
+  const TimePoint recent_yesterday = sliding_max_stable_until(
+      trace, now, period + 3600, period, yesterday_cursor_);
   return std::min({seasonal, recent, recent_yesterday});
 }
 

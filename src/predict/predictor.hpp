@@ -58,7 +58,7 @@ class Predictor {
 
 /// The paper's emulated predictor: true maximum over the look-ahead window
 /// (reads the future — an oracle). Window maxima are precomputed with a
-/// monotonic deque on first use (O(n) once, O(1) per query), which matters
+/// monotone queue on first use (O(n) once, O(1) per query), which matters
 /// when the scheduler asks once per second over a three-month trace.
 class OracleMaxPredictor final : public Predictor {
  public:
@@ -72,13 +72,13 @@ class OracleMaxPredictor final : public Predictor {
   [[nodiscard]] std::string name() const override { return "oracle-max"; }
 
  private:
-  /// Validates the query and (re)builds the cache when the trace or
-  /// horizon changed — shared by predict() and stable_until().
+  /// Validates the query and (re)builds the cache when the trace (by
+  /// LoadTrace::id()) or horizon changed — shared by predict() and
+  /// stable_until().
   void ensure_cache(const LoadTrace& trace, TimePoint now, Seconds horizon);
   void rebuild_cache(const LoadTrace& trace, Seconds horizon);
 
-  const void* cached_trace_ = nullptr;
-  std::size_t cached_size_ = 0;
+  std::uint64_t cached_trace_id_ = 0;  // LoadTrace::id(), never 0
   Seconds cached_horizon_ = 0.0;
   std::vector<double> window_max_;  // max over [t, t + horizon) per t
   // Indices where window_max_ changes value, ascending — lets
@@ -89,6 +89,18 @@ class OracleMaxPredictor final : public Predictor {
   // increasing times, so consecutive lookups resolve without the binary
   // search (see next_change_point_hinted).
   std::size_t change_hint_ = 0;
+};
+
+/// Where a sliding-window stability query last resolved in
+/// LoadTrace::change_points(): the window's first and past-the-end change
+/// point slots and the slot the enter walk started from. The schedulers'
+/// stability walks probe time points second by second, so a search
+/// resumed from here is O(1) (see partition_point_hinted). Any value is
+/// correct; a stale one only costs a binary search.
+struct SlidingMaxCursor {
+  std::size_t window_begin = 0;
+  std::size_t window_end = 0;
+  std::size_t enter = 0;
 };
 
 /// Last observed value (history only).
@@ -112,9 +124,11 @@ class MovingMaxPredictor final : public Predictor {
   [[nodiscard]] ReqRate predict(const LoadTrace& trace, TimePoint now,
                                 Seconds horizon) override;
   /// The trailing-window max is a pure function of the trace, so a
-  /// conservative change bound follows from walking the trace's
-  /// change-point segments (see sliding_max_stable_until); noisy spans
-  /// degrade gracefully to now + 1.
+  /// conservative change bound follows from a cursor walk over the trace's
+  /// change points (see sliding_max_stable_until). A window of more than
+  /// 64 segments is counted by two searches over the change points —
+  /// O(log n), O(1) when resumed from the previous probe — and degrades
+  /// to now + 1, so noisy spans stay cheap as well as sound.
   [[nodiscard]] TimePoint stable_until(const LoadTrace& trace, TimePoint now,
                                        Seconds horizon) override;
   [[nodiscard]] bool pure() const override { return true; }
@@ -122,6 +136,7 @@ class MovingMaxPredictor final : public Predictor {
 
  private:
   Seconds window_;
+  SlidingMaxCursor cursor_;
 };
 
 /// Exponentially weighted moving average of history with a safety factor:
@@ -181,6 +196,10 @@ class SeasonalPredictor final : public Predictor {
  private:
   Seconds period_;
   double headroom_;
+  // One per windowed maximum; the warm-up window shares the first.
+  SlidingMaxCursor seasonal_cursor_;
+  SlidingMaxCursor recent_cursor_;
+  SlidingMaxCursor yesterday_cursor_;
 };
 
 /// Wraps a predictor and perturbs its output with multiplicative Gaussian

@@ -31,16 +31,16 @@ std::optional<Combination> StaticMaxScheduler::decide(
     TimePoint /*now*/, const LoadTrace& trace,
     const ClusterSnapshot& /*snapshot*/) {
   // Constant fleet: always the globally sized combination.
-  if (cached_trace_ != &trace) {
+  if (cached_trace_id_ != trace.id()) {
     cached_machines_ = machines_for(trace.peak());
-    cached_trace_ = &trace;
+    cached_trace_id_ = trace.id();
   }
   return homogeneous(arch_index_, cached_machines_);
 }
 
 Combination StaticMaxScheduler::initial_combination(const LoadTrace& trace) {
   cached_machines_ = machines_for(trace.peak());
-  cached_trace_ = &trace;
+  cached_trace_id_ = trace.id();
   return homogeneous(arch_index_, cached_machines_);
 }
 
@@ -55,14 +55,14 @@ PerDayScheduler::PerDayScheduler(ArchitectureProfile big,
 
 Combination PerDayScheduler::combination_for_day(const LoadTrace& trace,
                                                  std::size_t day) {
-  if (cached_trace_ != &trace) {
+  if (cached_trace_id_ != trace.id()) {
     cached_daily_machines_.clear();
     cached_daily_machines_.reserve(trace.days());
     for (std::size_t d = 0; d < trace.days(); ++d)
       cached_daily_machines_.push_back(std::max(
           1,
           static_cast<int>(std::ceil(trace.day_peak(d) / big_.max_perf()))));
-    cached_trace_ = &trace;
+    cached_trace_id_ = trace.id();
   }
   return homogeneous(arch_index_, cached_daily_machines_.at(day));
 }

@@ -16,6 +16,7 @@
 //    energy for fewer reconfigurations.
 #pragma once
 
+#include <cstdint>
 #include <memory>
 
 #include "core/bml_design.hpp"
@@ -49,7 +50,7 @@ class StaticMaxScheduler final : public Scheduler {
   ArchitectureProfile big_;
   std::size_t arch_index_;
   // trace.peak() scans the whole series; cache it per trace.
-  const void* cached_trace_ = nullptr;
+  std::uint64_t cached_trace_id_ = 0;  // LoadTrace::id(), never 0
   int cached_machines_ = 0;
 };
 
@@ -78,7 +79,7 @@ class PerDayScheduler final : public Scheduler {
   ArchitectureProfile big_;
   std::size_t arch_index_;
   // Daily peaks scan a day of samples each; cache them per trace.
-  const void* cached_trace_ = nullptr;
+  std::uint64_t cached_trace_id_ = 0;  // LoadTrace::id(), never 0
   std::vector<int> cached_daily_machines_;
 };
 

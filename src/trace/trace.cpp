@@ -1,6 +1,7 @@
 #include "trace/trace.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <fstream>
 #include <limits>
@@ -21,6 +22,11 @@ LoadTrace::LoadTrace(std::vector<double> rates) {
   series_.build_max_index();
   for (std::size_t i = 1; i < series_.size(); ++i)
     if (series_[i] != series_[i - 1]) change_points_.push_back(i);
+}
+
+std::uint64_t LoadTrace::next_id() {
+  static std::atomic<std::uint64_t> counter{0};
+  return counter.fetch_add(1, std::memory_order_relaxed) + 1;
 }
 
 ReqRate LoadTrace::at(TimePoint t) const {

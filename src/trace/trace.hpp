@@ -5,6 +5,7 @@
 // for days 6-92 of the 1998 World Cup trace).
 #pragma once
 
+#include <cstdint>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -54,6 +55,12 @@ class LoadTrace {
 
   [[nodiscard]] const TimeSeries& series() const { return series_; }
 
+  /// Process-unique identity of the trace's contents, never 0: drawn
+  /// anew by each constructor and kept by copy and move. Per-trace caches
+  /// key on it rather than on the object's address, which a different
+  /// trace may reuse.
+  [[nodiscard]] std::uint64_t id() const { return id_; }
+
   /// Indices i with series[i] != series[i - 1], ascending — the segment
   /// starts of the piecewise-constant view. Consumed by
   /// sim/compiled_trace.hpp to build the RLE form in O(#segments).
@@ -72,6 +79,9 @@ class LoadTrace {
   // Indices i with series_[i] != series_[i - 1], ascending — the segment
   // starts of a piecewise-constant view of the trace.
   std::vector<std::size_t> change_points_;
+  std::uint64_t id_ = next_id();
+
+  [[nodiscard]] static std::uint64_t next_id();
 };
 
 }  // namespace bml

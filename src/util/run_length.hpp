@@ -32,28 +32,47 @@ namespace bml {
   return static_cast<TimePoint>(size);
 }
 
-/// next_change_point with a caller-held cursor: `hint` carries the slot
-/// the previous call resolved to, so the monotonically advancing probe
-/// sequences of the schedulers' stability walks cost O(1) amortised
-/// instead of one binary search per probe. Any access pattern stays
-/// correct — when the hint does not bracket `idx` the lookup falls back
-/// to the binary search and re-seats the hint.
+/// std::partition_point over the ascending `sorted` for a predicate
+/// `before` that holds on a prefix of it, resumed from `hint`, the slot
+/// the previous call resolved to. O(1) when the answer moved by at most
+/// one slot since — the step of a probe that advances second by second —
+/// and a binary search otherwise, so any access pattern stays correct.
+/// Re-seats `hint` to the answer.
+template <typename Before>
+[[nodiscard]] std::size_t partition_point_hinted(
+    const std::vector<std::size_t>& sorted, Before before,
+    std::size_t& hint) {
+  const std::size_t n = sorted.size();
+  std::size_t j = std::min(hint, n);
+  if (j < n && before(sorted[j])) {
+    ++j;  // the answer lies right of the hint: one slot is the hot case
+    if (j < n && before(sorted[j]))
+      j = static_cast<std::size_t>(
+          std::partition_point(sorted.begin() + static_cast<std::ptrdiff_t>(j),
+                               sorted.end(), before) -
+          sorted.begin());
+  } else if (j > 0 && !before(sorted[j - 1])) {
+    j = static_cast<std::size_t>(
+        std::partition_point(sorted.begin(),
+                             sorted.begin() + static_cast<std::ptrdiff_t>(j),
+                             before) -
+        sorted.begin());
+  }
+  hint = j;
+  return j;
+}
+
+/// next_change_point with a caller-held cursor (see
+/// partition_point_hinted): the monotonically advancing probe sequences
+/// of the schedulers' stability walks cost O(1) amortised instead of one
+/// binary search per probe.
 [[nodiscard]] inline TimePoint next_change_point_hinted(
     const std::vector<std::size_t>& change_points, std::size_t idx,
     std::size_t size, double last_value, std::size_t& hint) {
-  const std::size_t n = change_points.size();
-  std::size_t j = hint;
-  const bool lower_ok = j <= n && (j == 0 || change_points[j - 1] <= idx);
-  if (lower_ok && j < n && change_points[j] <= idx &&
-      (j + 1 == n || change_points[j + 1] > idx)) {
-    ++j;  // advanced exactly one segment — the stability-walk hot case
-  } else if (!(lower_ok && (j == n || change_points[j] > idx))) {
-    j = static_cast<std::size_t>(
-        std::upper_bound(change_points.begin(), change_points.end(), idx) -
-        change_points.begin());
-  }
-  hint = j;
-  if (j < n) return static_cast<TimePoint>(change_points[j]);
+  const std::size_t j = partition_point_hinted(
+      change_points, [idx](std::size_t c) { return c <= idx; }, hint);
+  if (j < change_points.size())
+    return static_cast<TimePoint>(change_points[j]);
   if (last_value == 0.0) return std::numeric_limits<TimePoint>::max();
   return static_cast<TimePoint>(size);
 }

@@ -5,7 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <deque>
 #include <limits>
+#include <optional>
 
 #include "trace/synthetic.hpp"
 
@@ -44,6 +47,59 @@ TEST(OracleMaxPredictor, CacheInvalidatesOnHorizonChange) {
   OracleMaxPredictor oracle;
   EXPECT_DOUBLE_EQ(oracle.predict(trace, 2, 1.0), 2.0);
   EXPECT_DOUBLE_EQ(oracle.predict(trace, 2, 2.0), 3.0);
+}
+
+TEST(OracleMaxPredictor, CacheNotReusedForNewTraceAtSameAddress) {
+  // Two traces of the same size built in the same storage: the second
+  // must not be answered from the first one's window maxima.
+  OracleMaxPredictor p;
+  std::optional<LoadTrace> slot;
+  slot.emplace(constant_trace(100, 1000));
+  EXPECT_DOUBLE_EQ(p.predict(*slot, 10, 60), 100.0);
+  slot.emplace(constant_trace(900, 1000));
+  EXPECT_DOUBLE_EQ(p.predict(*slot, 10, 60), 900.0);
+}
+
+/// The window-max cache as first written: a std::deque monotone queue
+/// read through the bounds-checked trace.at(). The ring-buffer build must
+/// reproduce it exactly.
+std::vector<double> deque_window_max(const LoadTrace& trace, Seconds horizon) {
+  const std::size_t n = trace.size();
+  const auto w = static_cast<std::size_t>(horizon);
+  std::vector<double> window_max(n, 0.0);
+  std::deque<std::size_t> deque;
+  std::size_t right = 0;
+  for (std::size_t t = 0; t < n; ++t) {
+    while (right < std::min(n, t + w)) {
+      const double v = trace.at(static_cast<TimePoint>(right));
+      while (!deque.empty() &&
+             trace.at(static_cast<TimePoint>(deque.back())) <= v)
+        deque.pop_back();
+      deque.push_back(right);
+      ++right;
+    }
+    while (!deque.empty() && deque.front() < t) deque.pop_front();
+    window_max[t] =
+        deque.empty() ? 0.0 : trace.at(static_cast<TimePoint>(deque.front()));
+  }
+  return window_max;
+}
+
+TEST(OracleMaxPredictor, WindowMaximaMatchDequeBuildOnNoisyTrace) {
+  DiurnalOptions options;
+  options.noise = 0.05;
+  options.seed = 3;
+  const LoadTrace day = diurnal_trace(options, 1);
+  const LoadTrace trace(std::vector<double>(
+      day.series().values().begin(), day.series().values().begin() + 20000));
+  for (const Seconds horizon : {0.5, 1.0, 2.0, 63.0, 378.0, 5000.0, 30000.0}) {
+    OracleMaxPredictor oracle;
+    const std::vector<double> expected = deque_window_max(trace, horizon);
+    for (std::size_t t = 0; t < expected.size(); ++t)
+      ASSERT_EQ(oracle.predict(trace, static_cast<TimePoint>(t), horizon),
+                expected[t])
+          << "horizon=" << horizon << " t=" << t;
+  }
 }
 
 TEST(OracleMaxPredictor, Validation) {
@@ -274,6 +330,160 @@ TEST(SeasonalPredictor, StableUntilIsSoundAcrossPeriods) {
   const LoadTrace trace = step_trace(segments);
   SeasonalPredictor p(/*period=*/600.0, /*headroom=*/1.1);
   expect_stability_sound(p, trace, 50.0);
+}
+
+// The segment walk behind MovingMaxPredictor and SeasonalPredictor as
+// first written: one LoadTrace::next_change binary search per segment,
+// the window max from max_over. The O(log n) cap test and cursor walk
+// must return exactly these bounds, not merely sound ones.
+TimePoint reference_sliding_max_stable_until(const LoadTrace& trace,
+                                             TimePoint now, TimePoint lead,
+                                             TimePoint lag) {
+  constexpr int kMaxSegments = 64;
+  constexpr TimePoint kNever = std::numeric_limits<TimePoint>::max();
+  const auto size = static_cast<TimePoint>(trace.size());
+  const double v = trace.max_over(now - lead, now - lag);
+
+  TimePoint leave_at = kNever;
+  if (v > 0.0) {
+    const TimePoint lo = std::max<TimePoint>(now - lead, 0);
+    const TimePoint hi = std::min(now - lag, size);
+    TimePoint last_attaining = -1;
+    int segments = 0;
+    for (TimePoint cur = lo; cur < hi;) {
+      if (++segments > kMaxSegments) return now + 1;
+      const TimePoint seg_end = std::min(trace.next_change(cur), hi);
+      if (trace.at(cur) == v) last_attaining = seg_end - 1;
+      cur = seg_end;
+    }
+    if (last_attaining >= 0) leave_at = last_attaining + lead + 1;
+  }
+
+  TimePoint enter_at = kNever;
+  int segments = 0;
+  for (TimePoint cur = std::max<TimePoint>(now - lag, 0);
+       cur < size && cur + lag + 1 < leave_at;) {
+    if (trace.at(cur) > v) {
+      enter_at = cur + lag + 1;
+      break;
+    }
+    if (++segments > kMaxSegments) {
+      enter_at = cur + lag + 1;
+      break;
+    }
+    cur = trace.next_change(cur);
+  }
+
+  return std::max(std::min(enter_at, leave_at), now + 1);
+}
+
+TimePoint reference_moving_max_stable_until(const LoadTrace& trace,
+                                            TimePoint now, TimePoint window) {
+  return reference_sliding_max_stable_until(trace, now, window, 0);
+}
+
+TimePoint reference_seasonal_stable_until(const LoadTrace& trace,
+                                          TimePoint now, TimePoint period,
+                                          TimePoint h) {
+  if (now < period)
+    return std::min(reference_sliding_max_stable_until(trace, now, h, 0),
+                    period);
+  return std::min(
+      {reference_sliding_max_stable_until(trace, now, period, period - h),
+       reference_sliding_max_stable_until(trace, now, 3600, 0),
+       reference_sliding_max_stable_until(trace, now, period + 3600,
+                                          period)});
+}
+
+/// Every t from 0 to well past the trace end, so windows clipped at
+/// t = 0, windows straddling the end and fully drained windows all count.
+void expect_moving_max_matches_reference(const LoadTrace& trace,
+                                         TimePoint window) {
+  MovingMaxPredictor p(static_cast<Seconds>(window));
+  const auto last = static_cast<TimePoint>(trace.size()) + window + 5;
+  for (TimePoint t = 0; t <= last; ++t)
+    ASSERT_EQ(p.stable_until(trace, t, 60.0),
+              reference_moving_max_stable_until(trace, t, window))
+        << "window=" << window << " t=" << t;
+}
+
+void expect_seasonal_matches_reference(const LoadTrace& trace,
+                                       TimePoint period, TimePoint h) {
+  SeasonalPredictor p(static_cast<Seconds>(period), 1.1);
+  const auto last = static_cast<TimePoint>(trace.size()) + period + 3605;
+  for (TimePoint t = 0; t <= last; ++t)
+    ASSERT_EQ(p.stable_until(trace, t, static_cast<Seconds>(h)),
+              reference_seasonal_stable_until(trace, t, period, h))
+        << "period=" << period << " h=" << h << " t=" << t;
+}
+
+/// The first `seconds` of a noisy diurnal day, its rates rounded down to a
+/// multiple of `quantum` (0 keeps them raw, one segment per second). The
+/// coarser the quantum, the fewer segments per window, so the quanta
+/// sweep windows from fully fragmented through the cap to a few segments.
+LoadTrace noisy_diurnal(std::uint64_t seed, std::size_t seconds,
+                        double quantum) {
+  DiurnalOptions options;
+  options.peak = 600.0;
+  options.noise = 0.02;
+  options.seed = seed;
+  const LoadTrace day = diurnal_trace(options, 1);
+  std::vector<double> rates(day.series().values().begin(),
+                            day.series().values().begin() +
+                                static_cast<std::ptrdiff_t>(seconds));
+  if (quantum > 0.0)
+    for (double& r : rates) r = std::floor(r / quantum) * quantum;
+  return LoadTrace(std::move(rates));
+}
+
+TEST(SlidingMaxStableUntil, MatchesReferenceOnNoisyDiurnalTraces) {
+  for (const double quantum : {0.0, 2.0, 10.0, 40.0}) {
+    const LoadTrace trace = noisy_diurnal(5, 4000, quantum);
+    expect_moving_max_matches_reference(trace, 378);
+    expect_moving_max_matches_reference(trace, 30);
+    expect_seasonal_matches_reference(trace, 1200, 60);
+  }
+}
+
+TEST(SlidingMaxStableUntil, MatchesReferenceAroundTheSegmentCap) {
+  for (const int n : {63, 64, 65, 66})
+    for (const TimePoint window : {63, 64, 65, 66}) {
+      expect_moving_max_matches_reference(alternating_then_zero(n, 300.0),
+                                          window);
+      expect_seasonal_matches_reference(alternating_then_zero(n, 300.0),
+                                        window + 10, window);
+    }
+}
+
+TEST(SlidingMaxStableUntil, MatchesReferenceWithAndWithoutZeroTail) {
+  const std::vector<LoadTrace> traces = {
+      step_trace({{700.0, 100.0}, {0.0, 100.0}}),
+      step_trace({{0.0, 50.0}, {300.0, 20.0}, {100.0, 30.0}}),  // nonzero end
+      step_trace({{0.0, 40.0}, {5.0, 1.0}, {0.0, 40.0}}),
+      step_trace({{0.0, 200.0}}),
+      LoadTrace(std::vector<double>{3.0}),
+      LoadTrace(std::vector<double>{}),
+  };
+  for (const LoadTrace& trace : traces)
+    for (const TimePoint window : {1, 7, 64, 150}) {
+      expect_moving_max_matches_reference(trace, window);
+      expect_seasonal_matches_reference(trace, window + 1, window);
+    }
+}
+
+TEST(SlidingMaxStableUntil, MatchesReferenceOnSeasonalLaggedWindows) {
+  // Three short "days" of mixed staircase and noise, a period short enough
+  // that the seasonal window (lag = period - h) and yesterday's hour
+  // (lag = period) both cover fragmented and flat stretches.
+  std::vector<double> rates;
+  const LoadTrace noise = noisy_diurnal(11, 900, 0.0);
+  for (int day = 0; day < 3; ++day)
+    for (int i = 0; i < 900; ++i)
+      rates.push_back(i % 300 < 150 ? 100.0 * (1 + (i / 300) + day)
+                                    : noise.at(i));
+  const LoadTrace trace(std::move(rates));
+  for (const TimePoint h : {1, 50, 200})
+    expect_seasonal_matches_reference(trace, 900, h);
 }
 
 // Property: the oracle prediction always covers the true load at every

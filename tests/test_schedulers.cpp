@@ -3,6 +3,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 
 #include "sched/baselines.hpp"
 #include "sched/bml_scheduler.hpp"
@@ -133,6 +134,20 @@ TEST(StaticMaxScheduler, ConstantAcrossTime) {
   const auto early = scheduler.decide(0, trace, ClusterSnapshot{});
   const auto late = scheduler.decide(50, trace, ClusterSnapshot{});
   EXPECT_EQ(*early, *late);
+}
+
+TEST(StaticMaxScheduler, NewTraceAtSameAddressIsResized) {
+  // The peak is cached per trace; a second trace built in the same
+  // storage must not inherit the first one's fleet size.
+  StaticMaxScheduler static_max(design()->big(), 0);
+  PerDayScheduler per_day(design()->big(), 0);
+  std::optional<LoadTrace> slot;
+  slot.emplace(constant_trace(100.0, 10.0));
+  EXPECT_EQ(static_max.decide(0, *slot, ClusterSnapshot{})->count(0), 1);
+  EXPECT_EQ(per_day.decide(0, *slot, ClusterSnapshot{})->count(0), 1);
+  slot.emplace(constant_trace(5200.0, 10.0));
+  EXPECT_EQ(static_max.decide(0, *slot, ClusterSnapshot{})->count(0), 4);
+  EXPECT_EQ(per_day.decide(0, *slot, ClusterSnapshot{})->count(0), 4);
 }
 
 TEST(PerDayScheduler, ResizesAtMidnight) {

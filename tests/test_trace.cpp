@@ -1,7 +1,13 @@
-// Tests for trace/trace: LoadTrace container and CSV round-trip.
+// Tests for trace/trace: LoadTrace container and CSV round-trip, plus
+// the hinted change-point search of util/run_length.
 #include "trace/trace.hpp"
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
+#include <utility>
+
+#include "util/run_length.hpp"
 
 namespace bml {
 namespace {
@@ -76,6 +82,36 @@ TEST(LoadTrace, EmptyTraceBehaviour) {
   EXPECT_EQ(t.days(), 0u);
   EXPECT_DOUBLE_EQ(t.peak(), 0.0);
   EXPECT_DOUBLE_EQ(t.mean(), 0.0);
+}
+
+TEST(LoadTrace, IdIsKeptByCopiesAndDrawnAnewByConstructors) {
+  const LoadTrace a({1.0, 2.0});
+  const LoadTrace b({1.0, 2.0});
+  LoadTrace moved = a;
+  const LoadTrace c = std::move(moved);
+  EXPECT_NE(a.id(), 0u);
+  EXPECT_NE(a.id(), b.id());
+  EXPECT_EQ(c.id(), a.id());
+  EXPECT_NE(LoadTrace().id(), LoadTrace().id());
+}
+
+TEST(PartitionPointHinted, MatchesPartitionPointFromAnyHint) {
+  const std::vector<std::size_t> sorted = {2, 3, 5, 9, 10, 11, 20};
+  for (std::size_t x = 0; x < 23; ++x)
+    for (std::size_t start = 0; start < sorted.size() + 3; ++start) {
+      const auto before = [x](std::size_t c) { return c <= x; };
+      std::size_t hint = start;
+      const std::size_t expected = static_cast<std::size_t>(
+          std::upper_bound(sorted.begin(), sorted.end(), x) - sorted.begin());
+      EXPECT_EQ(partition_point_hinted(sorted, before, hint), expected)
+          << "x=" << x << " hint=" << start;
+      EXPECT_EQ(hint, expected);
+    }
+  std::size_t hint = 5;
+  EXPECT_EQ(partition_point_hinted(
+                std::vector<std::size_t>{}, [](std::size_t) { return true; },
+                hint),
+            0u);
 }
 
 }  // namespace
