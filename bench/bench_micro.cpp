@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <random>
 #include <string>
 #include <vector>
 
@@ -23,6 +24,7 @@
 #include "sched/bml_scheduler.hpp"
 #include "sim/simulator.hpp"
 #include "trace/synthetic.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -569,6 +571,56 @@ void BM_WorldCupTraceGeneration(benchmark::State& state) {
 }
 BENCHMARK(BM_WorldCupTraceGeneration)->Arg(1)->Arg(7)
     ->Unit(benchmark::kMillisecond);
+
+// Per-second Poisson arrivals over one tournament day of World Cup
+// intensities (peak 5200), the largest pass of worldcup_like_trace: a
+// std::poisson_distribution constructed per draw (the reference) against
+// Rng::poisson with a PoissonMemo, which returns the same counts. The memo
+// lives across iterations, as one memo serves all days of a trace. Both
+// run in one process, so their ratio holds up under host noise; CI holds
+// the owned sampler to <= 0.8x the reference.
+const std::vector<double>& worldcup_day_intensities() {
+  static const std::vector<double> means = [] {
+    WorldCupOptions options;
+    options.days = 1;
+    options.tournament_start_day = 0;
+    options.tournament_end_day = 0;
+    options.poisson_arrivals = false;
+    const LoadTrace trace = worldcup_like_trace(options);
+    const auto values = trace.series().values();
+    return std::vector<double>(values.begin(), values.end());
+  }();
+  return means;
+}
+
+template <typename Draw>
+void draw_worldcup_day(benchmark::State& state, Draw draw) {
+  const std::vector<double>& means = worldcup_day_intensities();
+  for (auto _ : state) {
+    std::int64_t sum = 0;
+    for (const double mean : means) sum += draw(mean);
+    benchmark::DoNotOptimize(sum);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(means.size()));
+}
+
+void BM_PoissonDrawStd(benchmark::State& state) {
+  std::mt19937_64 engine(1998);
+  draw_worldcup_day(state, [&engine](double mean) -> std::int64_t {
+    if (mean <= 0.0) return 0;
+    return std::poisson_distribution<std::int64_t>(mean)(engine);
+  });
+}
+BENCHMARK(BM_PoissonDrawStd)->Unit(benchmark::kMillisecond);
+
+void BM_PoissonDraw(benchmark::State& state) {
+  Rng rng(1998);
+  PoissonMemo memo;
+  draw_worldcup_day(
+      state, [&rng, &memo](double mean) { return rng.poisson(mean, memo); });
+}
+BENCHMARK(BM_PoissonDraw)->Unit(benchmark::kMillisecond);
 
 // How *this binary* was compiled. google-benchmark's own
 // `library_build_type` context key reports how the (system) benchmark

@@ -58,6 +58,8 @@ GATED = [
     "BM_MultiAppSimulatorDay",
     "BM_NoisyDayOracleMax",
     "BM_NoisyDayMovingMax",
+    "BM_PoissonDrawStd",
+    "BM_PoissonDraw",
     "BM_FleetScaleDay",
     "BM_FleetScaleChurnDay",
     "BM_SimulatorWeekSteadyEventDriven",

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <numbers>
 #include <stdexcept>
+#include <string>
 
 #include "util/rng.hpp"
 
@@ -88,14 +89,99 @@ LoadTrace flash_crowd_trace(const FlashCrowdOptions& options) {
   return LoadTrace(std::move(rates));
 }
 
+namespace {
+
+void require(bool ok, const char* message) {
+  if (!ok)
+    throw std::invalid_argument(std::string("worldcup_like_trace: ") +
+                                message);
+}
+
+/// Rejects the options that would otherwise reach a distribution with
+/// lo > hi or place a burst outside its day. The burst checks only apply
+/// to an enabled channel.
+void validate(const WorldCupOptions& o) {
+  require(o.days > 0, "days must be > 0");
+  require(o.peak > 0.0, "peak must be > 0");
+  require(o.tournament_end_day >= o.tournament_start_day,
+          "tournament must end after it starts");
+  require(o.match_duration > 0.0, "match_duration must be > 0");
+  require(o.news_burst_prob_per_day >= 0.0,
+          "news_burst_prob_per_day must be >= 0");
+  if (o.news_burst_prob_per_day > 0.0) {
+    require(o.news_burst_min_amplitude >= 0.0,
+            "news_burst_min_amplitude must be >= 0");
+    require(o.news_burst_min_amplitude <= o.news_burst_max_amplitude,
+            "news_burst_min_amplitude must be <= news_burst_max_amplitude");
+    require(o.news_burst_min_duration >= 0.0,
+            "news_burst_min_duration must be >= 0");
+    require(o.news_burst_min_duration <= o.news_burst_max_duration,
+            "news_burst_min_duration must be <= news_burst_max_duration");
+    require(o.news_burst_ramp >= 0.0, "news_burst_ramp must be >= 0");
+    require(o.news_burst_max_duration + 2.0 * o.news_burst_ramp + 1.0 <=
+                static_cast<double>(kSecondsPerDay),
+            "news_burst_max_duration + 2 * news_burst_ramp + 1 must fit in "
+            "a day");
+  }
+  require(o.micro_bursts_per_day >= 0.0, "micro_bursts_per_day must be >= 0");
+  if (o.micro_bursts_per_day > 0.0) {
+    require(o.micro_burst_min_amplitude >= 0.0,
+            "micro_burst_min_amplitude must be >= 0");
+    require(o.micro_burst_min_amplitude <= o.micro_burst_max_amplitude,
+            "micro_burst_min_amplitude must be <= micro_burst_max_amplitude");
+    require(o.micro_burst_min_duration >= 0.0,
+            "micro_burst_min_duration must be >= 0");
+    require(o.micro_burst_min_duration <= o.micro_burst_max_duration,
+            "micro_burst_min_duration must be <= micro_burst_max_duration");
+    require(o.micro_burst_max_duration < static_cast<double>(kSecondsPerDay),
+            "micro_burst_max_duration must be < a day");
+  }
+}
+
+/// Writes envelope[d] * diurnal shape + match surges into `rates`. The
+/// shape and each kick-off's surge depend only on the second of the day,
+/// so they are tabulated once per trace rather than once per sample.
+void fill_smooth_intensity(const WorldCupOptions& options,
+                           const std::vector<double>& envelope,
+                           std::vector<double>& rates) {
+  const auto spd = static_cast<std::size_t>(kSecondsPerDay);
+  const auto tod = [](std::size_t s) {
+    return static_cast<double>(s) / 3600.0;
+  };
+  // Diurnal shape peaking in the evening.
+  const double trough = options.diurnal_trough;
+  std::vector<double> diurnal(spd);
+  for (std::size_t s = 0; s < spd; ++s)
+    diurnal[s] = trough + (1.0 - trough) * 0.5 *
+                              (1.0 + std::cos(kTwoPi * (tod(s) - 18.0) / 24.0));
+
+  const bool any_match_day = options.tournament_start_day < options.days;
+  const double hours = options.match_duration / 3600.0;
+  std::vector<std::vector<double>> surges;
+  if (any_match_day) {
+    for (double kick : options.match_hours) {
+      std::vector<double>& surge = surges.emplace_back(spd);
+      for (std::size_t s = 0; s < spd; ++s)
+        surge[s] = raised_cosine((tod(s) - kick) / hours);
+    }
+  }
+
+  for (std::size_t d = 0; d < options.days; ++d) {
+    double* day = rates.data() + d * spd;
+    for (std::size_t s = 0; s < spd; ++s) day[s] = envelope[d] * diurnal[s];
+    const bool match_day =
+        d >= options.tournament_start_day && d <= options.tournament_end_day;
+    if (!match_day) continue;
+    const double scale = envelope[d] * options.match_boost;
+    for (const std::vector<double>& surge : surges)
+      for (std::size_t s = 0; s < spd; ++s) day[s] += scale * surge[s];
+  }
+}
+
+}  // namespace
+
 LoadTrace worldcup_like_trace(const WorldCupOptions& options) {
-  if (options.days == 0)
-    throw std::invalid_argument("worldcup_like_trace: days must be > 0");
-  if (options.peak <= 0.0)
-    throw std::invalid_argument("worldcup_like_trace: peak must be > 0");
-  if (options.tournament_end_day < options.tournament_start_day)
-    throw std::invalid_argument(
-        "worldcup_like_trace: tournament must end after it starts");
+  validate(options);
 
   Rng rng(options.seed);
 
@@ -126,33 +212,8 @@ LoadTrace worldcup_like_trace(const WorldCupOptions& options) {
 
   const auto total =
       options.days * static_cast<std::size_t>(kSecondsPerDay);
-  std::vector<double> rates(total, 0.0);
-  double raw_max = 0.0;
-  for (std::size_t d = 0; d < options.days; ++d) {
-    const bool match_day =
-        d >= options.tournament_start_day && d <= options.tournament_end_day;
-    for (TimePoint s = 0; s < kSecondsPerDay; ++s) {
-      const double tod = static_cast<double>(s) / 3600.0;
-      // Diurnal shape peaking in the evening.
-      const double trough = options.diurnal_trough;
-      const double diurnal =
-          trough + (1.0 - trough) * 0.5 *
-                       (1.0 + std::cos(kTwoPi * (tod - 18.0) / 24.0));
-      double value = envelope[d] * diurnal;
-      if (match_day) {
-        const double hours = options.match_duration / 3600.0;
-        for (double kick : options.match_hours) {
-          const double x = (tod - kick) / hours;
-          value += envelope[d] * options.match_boost * raised_cosine(x);
-        }
-      }
-      const auto idx =
-          d * static_cast<std::size_t>(kSecondsPerDay) +
-          static_cast<std::size_t>(s);
-      rates[idx] = value;
-      raw_max = std::max(raw_max, value);
-    }
-  }
+  std::vector<double> rates(total);
+  fill_smooth_intensity(options, envelope, rates);
 
   // News flash crowds: trapezoidal surges at a random time of day on a
   // random subset of days, in raw (pre-normalisation) units.
@@ -219,10 +280,11 @@ LoadTrace worldcup_like_trace(const WorldCupOptions& options) {
   // `peak` so "dimensioned for the maximum request rate" is well-defined.
   const double intensity_scale = options.peak / shaped_max;
   double realized_max = 0.0;
+  PoissonMemo memo;
   for (double& r : rates) {
     r *= intensity_scale;
     if (options.poisson_arrivals)
-      r = static_cast<double>(rng.poisson(r));
+      r = static_cast<double>(rng.poisson(r, memo));
     realized_max = std::max(realized_max, r);
   }
   if (realized_max <= 0.0)

@@ -122,6 +122,19 @@ struct WorldCupOptions {
 };
 
 /// Synthesises the World-Cup-like trace; see file comment.
+///
+/// The diurnal shape and each kick-off's match surge depend only on the
+/// second of the day, so they are tabulated once (86,400 doubles each) and
+/// scaled per day; the per-second Poisson pass shares one PoissonMemo
+/// (util/rng.hpp). Neither changes a sample.
+///
+/// Throws std::invalid_argument naming the field for: days == 0, peak <= 0,
+/// tournament_end_day < tournament_start_day, match_duration <= 0, and a
+/// negative news_burst_prob_per_day or micro_bursts_per_day. While a burst
+/// channel is enabled (its probability or rate > 0), also for a negative
+/// minimum amplitude, duration or ramp, a minimum above its maximum, a news
+/// burst whose max plateau + 2 * ramp + 1 s exceeds a day, and a
+/// micro-burst max duration of a day or more.
 [[nodiscard]] LoadTrace worldcup_like_trace(const WorldCupOptions& options);
 
 }  // namespace bml

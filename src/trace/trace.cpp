@@ -14,14 +14,17 @@
 namespace bml {
 
 LoadTrace::LoadTrace(std::vector<double> rates) {
-  for (double r : rates)
+  // One pass: validate each rate and record where it differs from the
+  // previous one.
+  for (std::size_t i = 0; i < rates.size(); ++i) {
+    const double r = rates[i];
     if (!(r >= 0.0) || !std::isfinite(r))
       throw std::invalid_argument(
           "LoadTrace: rates must be finite and >= 0");
+    if (i > 0 && r != rates[i - 1]) change_points_.push_back(i);
+  }
   series_ = TimeSeries(std::move(rates), 1.0);
   series_.build_max_index();
-  for (std::size_t i = 1; i < series_.size(); ++i)
-    if (series_[i] != series_[i - 1]) change_points_.push_back(i);
 }
 
 std::uint64_t LoadTrace::next_id() {

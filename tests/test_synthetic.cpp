@@ -3,6 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <functional>
+#include <string>
+
+#include "scenario/registry.hpp"
+
 namespace bml {
 namespace {
 
@@ -137,6 +144,126 @@ TEST(WorldCupTrace, Validation) {
   bad2.tournament_start_day = 5;
   bad2.tournament_end_day = 2;
   EXPECT_THROW((void)worldcup_like_trace(bad2), std::invalid_argument);
+}
+
+/// Expects worldcup_like_trace to reject the options that `edit` makes,
+/// with an std::invalid_argument naming `field`.
+void expect_rejected(const std::function<void(WorldCupOptions&)>& edit,
+                     const std::string& field) {
+  WorldCupOptions options;
+  options.days = 2;
+  edit(options);
+  try {
+    (void)worldcup_like_trace(options);
+    ADD_FAILURE() << "expected std::invalid_argument naming " << field;
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find(field), std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(WorldCupTrace, RejectsMicroBurstLongerThanADay) {
+  expect_rejected([](auto& o) { o.micro_burst_max_duration = 90000.0; },
+                  "micro_burst_max_duration");
+}
+
+TEST(WorldCupTrace, RejectsNewsBurstThatDoesNotFitInADay) {
+  // 86,200 s plateau + 2 * 120 s ramps + 1 > 86,400 s.
+  expect_rejected([](auto& o) { o.news_burst_max_duration = 86200.0; },
+                  "news_burst_max_duration");
+}
+
+TEST(WorldCupTrace, RejectsMinAboveMaxPairs) {
+  expect_rejected([](auto& o) { o.news_burst_min_amplitude = 0.6; },
+                  "news_burst_min_amplitude");
+  expect_rejected([](auto& o) { o.news_burst_min_duration = 3000.0; },
+                  "news_burst_min_duration");
+  expect_rejected([](auto& o) { o.micro_burst_min_amplitude = 0.06; },
+                  "micro_burst_min_amplitude");
+  expect_rejected([](auto& o) { o.micro_burst_min_duration = 400.0; },
+                  "micro_burst_min_duration");
+}
+
+TEST(WorldCupTrace, RejectsNegativeRatesAndDurations) {
+  expect_rejected([](auto& o) { o.news_burst_prob_per_day = -0.1; },
+                  "news_burst_prob_per_day");
+  expect_rejected([](auto& o) { o.micro_bursts_per_day = -1.0; },
+                  "micro_bursts_per_day");
+  expect_rejected([](auto& o) { o.news_burst_min_amplitude = -0.1; },
+                  "news_burst_min_amplitude");
+  expect_rejected([](auto& o) { o.micro_burst_min_amplitude = -0.1; },
+                  "micro_burst_min_amplitude");
+  expect_rejected([](auto& o) { o.news_burst_min_duration = -1.0; },
+                  "news_burst_min_duration");
+  expect_rejected([](auto& o) { o.micro_burst_min_duration = -1.0; },
+                  "micro_burst_min_duration");
+  expect_rejected([](auto& o) { o.news_burst_ramp = -5.0; },
+                  "news_burst_ramp");
+}
+
+TEST(WorldCupTrace, RejectsNonPositiveMatchDuration) {
+  expect_rejected([](auto& o) { o.match_duration = 0.0; }, "match_duration");
+  expect_rejected([](auto& o) { o.match_duration = -3600.0; },
+                  "match_duration");
+}
+
+TEST(WorldCupTrace, DisabledBurstChannelIgnoresItsShape) {
+  WorldCupOptions options;
+  options.days = 2;
+  options.news_burst_prob_per_day = 0.0;
+  options.news_burst_max_duration = 90000.0;
+  options.micro_bursts_per_day = 0.0;
+  options.micro_burst_max_duration = 90000.0;
+  EXPECT_NO_THROW((void)worldcup_like_trace(options));
+}
+
+TEST(WorldCupTrace, SpecKeyOutOfRangeIsRejectedThroughMakeTrace) {
+  try {
+    (void)make_trace("worldcup_like",
+                     {{"days", "2"}, {"micro_burst_max_duration", "90000"}},
+                     1);
+    FAIL() << "expected std::invalid_argument";
+  } catch (const std::invalid_argument& e) {
+    EXPECT_NE(std::string(e.what()).find("micro_burst_max_duration"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
+TEST(WorldCupTrace, GoldenDigest) {
+#ifndef __GLIBCXX__
+  GTEST_SKIP() << "noise normals and burst uniforms come from <random>, "
+                  "whose distributions are implementation-specific";
+#else
+  // FNV-1a over every sample's bits (least significant byte first) of a
+  // 3-day trace whose days 1-2 are tournament days, so match surges, a
+  // news burst (both seeds draw one), micro-bursts, noise and Poisson
+  // arrivals all contribute. Recorded before the generator tabulated its
+  // shape and took over the Poisson sampler: any changed sample fails.
+  const auto digest = [](const LoadTrace& t) {
+    std::uint64_t h = 14695981039346656037ull;
+    for (const double v : t.series().values()) {
+      const auto bits = std::bit_cast<std::uint64_t>(v);
+      for (int k = 0; k < 8; ++k) {
+        h ^= (bits >> (8 * k)) & 0xffu;
+        h *= 1099511628211ull;
+      }
+    }
+    return h;
+  };
+  const std::pair<std::uint64_t, std::uint64_t> golden[] = {
+      {1, 0x77e95c82bc7303c1ull}, {7, 0x2989480c8bb52f1eull}};
+  for (const auto& [seed, expected] : golden) {
+    WorldCupOptions options;
+    options.days = 3;
+    options.tournament_start_day = 1;
+    options.tournament_end_day = 2;
+    options.seed = seed;
+    const LoadTrace t = worldcup_like_trace(options);
+    ASSERT_EQ(t.size(), 3u * static_cast<std::size_t>(kSecondsPerDay));
+    EXPECT_EQ(digest(t), expected) << "seed " << seed;
+  }
+#endif
 }
 
 TEST(WorldCupTrace, MatchDaysShowEveningSurges) {
