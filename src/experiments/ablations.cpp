@@ -209,8 +209,9 @@ std::vector<AblationRow> run_cost_aware_comparison(
 std::vector<RaplRow> run_rapl_comparison(ReqRate fleet_rate, int points) {
   if (points < 2)
     throw std::invalid_argument("run_rapl_comparison: points must be >= 2");
-  const BmlDesign design =
-      BmlDesign::build(real_catalog(), {.max_rate = fleet_rate});
+  BmlDesignOptions design_options;
+  design_options.max_rate = fleet_rate;
+  const BmlDesign design = BmlDesign::build(real_catalog(), design_options);
   const ArchitectureProfile& big = design.big();
   const int fleet = std::max(
       1, static_cast<int>(std::ceil(fleet_rate / big.max_perf())));

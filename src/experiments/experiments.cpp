@@ -171,6 +171,14 @@ std::map<std::string, std::string> worldcup_trace_params(
   return params;
 }
 
+/// A BML design over `catalog` sized to answer `peak` (at least 1 req/s).
+std::shared_ptr<BmlDesign> design_for_peak(const Catalog& catalog,
+                                           ReqRate peak) {
+  BmlDesignOptions options;
+  options.max_rate = std::max(peak, 1.0);
+  return std::make_shared<BmlDesign>(BmlDesign::build(catalog, options));
+}
+
 }  // namespace
 
 Fig5Result run_fig5(const Fig5Options& options) {
@@ -269,16 +277,14 @@ ColocationResult run_colocation(std::size_t days, std::uint64_t seed) {
     const ReqRate peak =
         combined_trace(std::vector<const LoadTrace*>{&frontend, &batch})
             .peak();
-    auto design = std::make_shared<BmlDesign>(
-        BmlDesign::build(catalog, {.max_rate = std::max(peak, 1.0)}));
+    auto design = design_for_peak(catalog, peak);
     const Simulator simulator(design->candidates());
     std::vector<Workload> workloads = make_workloads(design);
     result.colocated = simulator.run(workloads);
   }
   for (const LoadTrace* trace : {&frontend, &batch}) {
     // One dedicated cluster per app, each sized for its own peak.
-    auto design = std::make_shared<BmlDesign>(BmlDesign::build(
-        catalog, {.max_rate = std::max(trace->peak(), 1.0)}));
+    auto design = design_for_peak(catalog, trace->peak());
     const Simulator simulator(design->candidates());
     BmlScheduler scheduler(design, std::make_shared<OracleMaxPredictor>());
     result.isolated.push_back(simulator.run(scheduler, *trace));
@@ -301,8 +307,7 @@ SloRackStrikeResult run_slo_rackstrikes(std::size_t days,
 
   const ReqRate peak =
       combined_trace(std::vector<const LoadTrace*>{&frontend, &batch}).peak();
-  auto design = std::make_shared<BmlDesign>(
-      BmlDesign::build(catalog, {.max_rate = std::max(peak, 1.0)}));
+  auto design = design_for_peak(catalog, peak);
 
   // Both runs replay the identical strike timeline: the fault streams are
   // functions of the seed alone, never of cluster state, so the aware run
@@ -361,8 +366,7 @@ DegradedPriorityResult run_degraded_priority(std::size_t days,
 
   const ReqRate peak =
       combined_trace(std::vector<const LoadTrace*>{&frontend, &batch}).peak();
-  auto design = std::make_shared<BmlDesign>(
-      BmlDesign::build(catalog, {.max_rate = std::max(peak, 1.0)}));
+  auto design = design_for_peak(catalog, peak);
 
   DegradedPriorityResult result;
   result.overload_factor = 0.5;
@@ -424,8 +428,7 @@ TenantChurnResult run_tenant_churn(std::size_t days, std::uint64_t seed) {
   // visitor is not resident.
   const ReqRate peak =
       combined_trace(std::vector<const LoadTrace*>{&frontend, &batch}).peak();
-  auto design = std::make_shared<BmlDesign>(
-      BmlDesign::build(catalog, {.max_rate = std::max(peak, 1.0)}));
+  auto design = design_for_peak(catalog, peak);
 
   TenantChurnResult result;
   result.arrive = horizon / 4;

@@ -45,6 +45,8 @@ Watts SimulatedMachine::observe_power() {
               : spec_.truth.max_perf() * c / (c + spec_.saturation_clients);
       return noisy(spec_.truth.power_at(rate), spec_.power_noise);
     }
+    case MachineState::kFailed:
+      return 0.0;  // a failed machine draws nothing
   }
   return 0.0;
 }

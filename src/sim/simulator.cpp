@@ -92,14 +92,18 @@ MultiSimulationResult Simulator::run_views(
 
 namespace {
 
-/// App count at which the event-driven path switches into fleet mode:
-/// scheduler consults are cached across spans (skipping decide() while a
-/// cached decision_stable_until is in the future). The threshold keeps the
-/// small-k paths — which every existing example spec exercises — on the
-/// exact consult cadence of the per-second reference, so their outputs
-/// stay bit-for-bit unchanged; fleet mode trades extra span boundaries
-/// (cached bounds are conservative) for O(changed apps) consult work,
-/// staying inside the 1e-9 equivalence contract.
+/// The consult cache: `Run::consult_until[i]` holds app i's last
+/// decision_stable_until, and consult_and_apply only calls decide() on
+/// apps whose entry is <= now. Only the event-driven loop fills entries
+/// (the per-second reference leaves them at -1, so it consults every
+/// active app every second), and every change to the cluster underneath
+/// the schedulers empties the cache (invalidate_consults). Runs with fewer
+/// than kFleetModeApps apps also empty it at every span start, which keeps
+/// the small-k runs — every example spec but the fleet ones — on the
+/// reference's exact consult cadence, so their outputs stay bit-for-bit
+/// unchanged. From kFleetModeApps apps on, an unexpired (conservative)
+/// entry is reused across spans: extra span boundaries for O(changed apps)
+/// consult work, inside the 1e-9 equivalence contract.
 constexpr std::size_t kFleetModeApps = 4;
 
 /// Reconfiguration bookkeeping shared by both execution strategies; the
@@ -216,18 +220,9 @@ struct Run {
   /// Decision-point snapshot buffer: refreshed via Cluster::snapshot_into
   /// so fleet-scale runs do not allocate four vectors per consult.
   ClusterSnapshot snap;
-  /// Fleet-mode consult cache (event-driven path, >= kFleetModeApps apps):
-  /// each app's cached decision_stable_until; entries <= now force a real
-  /// decide(). Invalidated wholesale whenever the cluster changes
-  /// underneath the schedulers (reconfigurations, transition completions,
-  /// fault events) — the Scheduler::decision_stable_until contract only
-  /// holds while the cluster is untouched.
+  /// Consult cache, see kFleetModeApps.
   std::vector<TimePoint> consult_until;
-  bool fleet_mode = false;
   FleetPowerCurve power_curve;
-  std::vector<double> power_samples;
-  double bucket_max = 0.0;
-  std::size_t bucket_fill = 0;
   /// Runtime crash/repair state; disengaged unless the fault model's
   /// runtime channel is active.
   std::optional<FaultRun> faults;
@@ -302,6 +297,13 @@ struct Run {
 };
 
 using WorkloadView = Simulator::WorkloadView;
+
+/// Empties the consult cache: the next consult calls decide() on every
+/// active app.
+void invalidate_consults(Run& run) {
+  std::fill(run.consult_until.begin(), run.consult_until.end(),
+            static_cast<TimePoint>(-1));
+}
 
 void update_transition_shares(const Catalog& candidates, Run& run) {
   double total = 0.0;
@@ -551,7 +553,7 @@ bool apply_lifecycle_events(const std::vector<WorkloadView>& views,
       c.resize(candidates.size());
       run.proposals[i] = std::move(c);
       // Force a real consult for the newcomer at the next decision point.
-      if (run.fleet_mode) run.consult_until[i] = -1;
+      run.consult_until[i] = -1;
       ++run.result.arrivals;
       changed = true;
       if (events)
@@ -664,7 +666,6 @@ Run make_run(const Catalog& candidates, const SimulatorOptions& options,
   run.loads.assign(views.size(), 0.0);
   run.alloc.assign(views.size(), 0.0);
   run.run_ends.assign(views.size(), 0);
-  run.fleet_mode = views.size() >= kFleetModeApps;
   run.consult_until.assign(views.size(), -1);
   run.slo_budget.assign(views.size(), -1.0);
   for (std::size_t i = 0; i < views.size(); ++i) {
@@ -760,23 +761,15 @@ Run make_run(const Catalog& candidates, const SimulatorOptions& options,
   return run;
 }
 
-/// Flushes the trailing power bucket and copies the cluster-wide and
-/// per-app meters into the result.
-void finalize_run(Run& run, const SimulatorOptions& options,
-                  const std::vector<WorkloadView>& views,
+/// Copies the cluster-wide and per-app meters into the result.
+void finalize_run(Run& run, const std::vector<WorkloadView>& views,
                   MultiSimulationResult& out) {
-  if (options.record_power_every > 0 && run.bucket_fill > 0)
-    run.power_samples.push_back(run.bucket_max);
   SimulationResult& r = run.result;
   r.compute_energy = run.meter.compute_energy();
   r.reconfiguration_energy = run.meter.reconfiguration_energy();
   r.per_day_compute = run.meter.per_day_compute();
   r.per_day_reconfiguration = run.meter.per_day_reconfiguration();
   r.qos = run.qos.stats();
-  if (options.record_power_every > 0)
-    r.power_series =
-        TimeSeries(std::move(run.power_samples),
-                   static_cast<Seconds>(options.record_power_every));
   if (run.faults.has_value()) {
     const FaultRun& fr = *run.faults;
     r.machine_failures = fr.total_failures;
@@ -878,60 +871,34 @@ void apply_decision(Combination decision, TimePoint now,
   state.current_target = std::move(decision);
 }
 
-/// Consults every app's scheduler at `now` and applies the coordinator's
+/// Consults the scheduler of every active app whose consult-cache entry
+/// has expired (every active app unless the event-driven loop filled the
+/// cache, see kFleetModeApps) at `now` and applies the coordinator's
 /// merged decision. A scheduler returning std::nullopt keeps its previous
 /// proposal; when no proposal changed — and no SLO spare flag flipped —
 /// the merged target cannot have changed either and the merge is skipped.
-///
-/// With `use_cache` set (the event-driven fleet path), apps whose cached
-/// decision_stable_until is still in the future are skipped entirely: the
-/// contract guarantees their decision cannot have changed while the
-/// cluster is untouched, and the caller invalidates the cache whenever it
-/// is. The per-second reference never passes `use_cache`, so it stays the
-/// oracle for the cached path.
+/// A merge that starts a reconfiguration empties the cache.
 void consult_and_apply(const std::vector<WorkloadView>& views, TimePoint now,
                        const Catalog& candidates, bool graceful_off, Run& run,
-                       EventLog* events, SimMetrics* metrics,
-                       bool use_cache = false) {
+                       EventLog* events, SimMetrics* metrics) {
   run.cluster.snapshot_into(run.snap);
-  const ClusterSnapshot& snap = run.snap;
   bool any_new = false;
-  if (use_cache) {
-    std::uint64_t consults = 0;
-    for (std::size_t i = 0; i < views.size(); ++i) {
-      if (run.lifecycle_enabled && !run.active[i]) continue;
-      if (run.consult_until[i] > now) continue;
-      ++consults;
-      std::optional<Combination> d =
-          views[i].scheduler->decide(now, *views[i].trace, snap);
-      if (d.has_value()) {
-        d->resize(candidates.size());
-        if (*d != run.proposals[i]) {
-          run.proposals[i] = std::move(*d);
-          any_new = true;
-        }
-      }
-      run.consult_until[i] =
-          views[i].scheduler->decision_stable_until(now, *views[i].trace);
-    }
-    if (metrics) metrics->scheduler_consults += consults;
-  } else {
-    if (metrics)
-      metrics->scheduler_consults +=
-          run.lifecycle_enabled ? run.active_count : views.size();
-    for (std::size_t i = 0; i < views.size(); ++i) {
-      if (run.lifecycle_enabled && !run.active[i]) continue;
-      std::optional<Combination> d =
-          views[i].scheduler->decide(now, *views[i].trace, snap);
-      if (d.has_value()) {
-        d->resize(candidates.size());
-        if (*d != run.proposals[i]) {
-          run.proposals[i] = std::move(*d);
-          any_new = true;
-        }
+  std::uint64_t consults = 0;
+  for (std::size_t i = 0; i < views.size(); ++i) {
+    if (run.lifecycle_enabled && !run.active[i]) continue;
+    if (run.consult_until[i] > now) continue;
+    ++consults;
+    std::optional<Combination> d =
+        views[i].scheduler->decide(now, *views[i].trace, run.snap);
+    if (d.has_value()) {
+      d->resize(candidates.size());
+      if (*d != run.proposals[i]) {
+        run.proposals[i] = std::move(*d);
+        any_new = true;
       }
     }
   }
+  if (metrics) metrics->scheduler_consults += consults;
   bool slo_changed = false;
   if (run.slo_enabled) {
     current_spare_flags(run, now, run.flags_scratch);
@@ -987,9 +954,8 @@ void consult_and_apply(const std::vector<WorkloadView>& views, TimePoint now,
         c = Combination{};
         c.resize(candidates.size());
       }
-  if (use_cache && run.result.reconfigurations != reconfigs_before)
-    std::fill(run.consult_until.begin(), run.consult_until.end(),
-              static_cast<TimePoint>(-1));
+  if (run.result.reconfigurations != reconfigs_before)
+    invalidate_consults(run);
 }
 
 /// Post-step bookkeeping while a reconfiguration is in flight: once all
@@ -1137,9 +1103,8 @@ void restore_after_failure(TimePoint now, const Catalog& candidates,
 /// first consume a matching deferred switch-off (the surplus machine the
 /// decision was about to power down is simply dead instead), otherwise
 /// the fleet is restored against the merged target.
-/// Returns true when any event landed (the cluster changed), so the
-/// fleet-mode consult cache can be invalidated.
-bool apply_fault_events(TimePoint now, const Catalog& candidates,
+/// Any landed event changed the cluster, so it empties the consult cache.
+void apply_fault_events(TimePoint now, const Catalog& candidates,
                         const std::vector<WorkloadView>& views, Run& run,
                         EventLog* events) {
   FaultRun& fr = *run.faults;
@@ -1236,9 +1201,9 @@ bool apply_fault_events(TimePoint now, const Catalog& candidates,
   // (repairs release preempted machines and boot their replacements);
   // priority-free runs only restore when a strike left a deficit,
   // byte-identical to a preemption-unaware build.
+  if (any_event) invalidate_consults(run);
   if (need_restore || (any_event && run.priority_enabled))
     restore_after_failure(now, candidates, views, run, events);
-  return any_event;
 }
 
 /// Integrates the fault-accounting state over a span whose failure set is
@@ -1277,30 +1242,18 @@ ReqRate gather_loads(const std::vector<WorkloadView>& views, TimePoint now,
 /// cluster-wide aggregates are recorded by the callers, unchanged from
 /// the single-workload simulator. `capacity` is the caller's On capacity
 /// for the span (constant across a fixed-fleet span, so hoisted into the
-/// capacity-parameterized Cluster::split_capacity overload).
+/// capacity-parameterized Cluster::split_capacity overload). Tenant-
+/// lifecycle runs attribute over the active subset only: inactive apps
+/// integrate nothing (their loads are pinned to 0.0), and an idle-cluster
+/// equal split spreads over the tenants present (`active_count` is the
+/// app count when lifecycle is off).
 void attribute_span(const std::vector<WorkloadView>& views, Run& run,
                     ReqRate total_load, const ClusterPower& power,
                     TimePoint span, ReqRate capacity) {
-  if (run.lifecycle_enabled) {
-    // Tenant-lifecycle runs attribute over the active subset only:
-    // inactive apps integrate nothing (their loads are pinned to 0.0), and
-    // an idle-cluster equal split spreads over the tenants present.
-    Cluster::split_capacity(run.loads, total_load, capacity, run.alloc);
-    const auto n_active = static_cast<double>(run.active_count);
-    for (std::size_t i = 0; i < views.size(); ++i) {
-      if (!run.active[i]) continue;
-      run.app_qos[i].record_span(run.loads[i], run.alloc[i], span);
-      const double compute_share =
-          total_load > 0.0 ? run.loads[i] / total_load : 1.0 / n_active;
-      run.app_meters[i].add_span(power.compute * compute_share,
-                                 power.transition * run.transition_shares[i],
-                                 static_cast<std::size_t>(span));
-    }
-    return;
-  }
-  const auto n = static_cast<double>(views.size());
+  const auto n = static_cast<double>(run.active_count);
   Cluster::split_capacity(run.loads, total_load, capacity, run.alloc);
   for (std::size_t i = 0; i < views.size(); ++i) {
+    if (run.lifecycle_enabled && !run.active[i]) continue;
     run.app_qos[i].record_span(run.loads[i], run.alloc[i], span);
     const double compute_share =
         total_load > 0.0 ? run.loads[i] / total_load : 1.0 / n;
@@ -1322,8 +1275,8 @@ std::size_t longest_trace(const std::vector<WorkloadView>& views) {
 /// iteration per constant-value sub-run instead of one per second. Each
 /// sub-run's power / QoS / per-app attribution is closed-form; the
 /// cluster-wide piecewise kernels (EnergyMeter::add_runs,
-/// QosTracker::record_runs) and the power bucketing then each consume the
-/// whole run list in one call.
+/// QosTracker::record_runs) then each consume the whole run list in one
+/// call.
 ///
 /// Returns the time actually advanced to (== `end` normally). With the
 /// degrade model enabled, an overload entry/exit inside the span stops
@@ -1334,8 +1287,7 @@ std::size_t longest_trace(const std::vector<WorkloadView>& views) {
 TimePoint advance_span(const std::vector<WorkloadView>& views, Run& run,
                        const std::vector<const CompiledTrace*>& compiled,
                        std::vector<CompiledTrace::Cursor>& cursors,
-                       TimePoint begin, TimePoint end,
-                       const SimulatorOptions& options, SimMetrics* metrics) {
+                       TimePoint begin, TimePoint end, SimMetrics* metrics) {
   run.span_runs.clear();
   // Fixed fleet for the whole span: capacity and transition power are
   // constant, and the compute power is the compiled fleet curve of the
@@ -1355,31 +1307,13 @@ TimePoint advance_span(const std::vector<WorkloadView>& views, Run& run,
   // floating-point summation order; day attribution is unaffected (spans
   // never straddle days — the caller clamps them).
   constexpr std::size_t kFlushChunk = 512;
-  const auto flush = [&run, &options, capacity_now, transition, deg] {
+  const auto flush = [&run, capacity_now, transition, deg] {
     if (run.span_runs.empty()) return;
     if (deg)
       run.qos.record_runs_var(run.span_runs);
     else
       run.qos.record_runs(run.span_runs, capacity_now);
     run.meter.add_runs(run.span_runs, transition);
-    if (options.record_power_every > 0) {
-      for (const Run::SegmentRun& sr : run.span_runs) {
-        const double total_power = sr.compute + transition;
-        auto left = static_cast<std::size_t>(sr.seconds);
-        while (left > 0) {
-          const std::size_t chunk =
-              std::min(left, options.record_power_every - run.bucket_fill);
-          run.bucket_max = std::max(run.bucket_max, total_power);
-          run.bucket_fill += chunk;
-          left -= chunk;
-          if (run.bucket_fill == options.record_power_every) {
-            run.power_samples.push_back(run.bucket_max);
-            run.bucket_max = 0.0;
-            run.bucket_fill = 0;
-          }
-        }
-      }
-    }
     run.span_runs.clear();
   };
 
@@ -1387,8 +1321,7 @@ TimePoint advance_span(const std::vector<WorkloadView>& views, Run& run,
   // the capacity, compute and transition shares are all exactly 1.0, so
   // the per-app accumulators would replay the cluster-wide streams
   // bit-for-bit — run_event_driven copies them at the end instead.
-  if (views.size() == 1 && options.record_power_every == 0 &&
-      !run.lifecycle_enabled) {
+  if (views.size() == 1 && !run.lifecycle_enabled) {
     // Fully fused single-workload walk — the innermost loop of the whole
     // simulator on noisy traces. QoS totals and the compute-energy
     // integral accumulate in registers and flush once per span through
@@ -1438,107 +1371,74 @@ TimePoint advance_span(const std::vector<WorkloadView>& views, Run& run,
                                   static_cast<std::size_t>(totals.seconds));
     return end;
   }
-  if (views.size() == 1 && !run.lifecycle_enabled) {
-    // Single-workload with power recording: the bucketing needs per-run
-    // powers, so go through the scratch rows and the run kernels.
-    const CompiledTrace& trace = *compiled[0];
-    CompiledTrace::Cursor& cursor = cursors[0];
-    TimePoint cur = begin;
-    while (cur < end) {
-      const CompiledTrace::Run r = trace.run_at(cursor, cur);
-      const TimePoint sub_end = r.end < end ? r.end : end;
-      Run::SegmentRun sr{r.value, run.power_curve.power_at(r.value),
-                         sub_end - cur, capacity_now};
-      if (deg) {
-        const DegradedCap dc =
-            degraded_capacity(run.degrade, r.value, capacity_now);
-        if (first) {
-          span_over = dc.overloaded;
-          first = false;
-        } else if (dc.overloaded != span_over) {
-          end = cur;
-          break;
-        }
-        sr.cap = dc.effective;
-        if (dc.overloaded) {
-          run.loads[0] = r.value;
-          account_overload(views, run, r.value, dc.lost_rate, sr.seconds);
-        }
-      }
-      run.span_runs.push_back(sr);
-      if (run.span_runs.size() == kFlushChunk) flush();
-      cur = sub_end;
+  // Fused k-way merge over the apps' compiled RLE streams: one frontier
+  // entry per app (current value in run.loads, current run end in
+  // run.run_ends). Each shared sub-run is the intersection of the apps'
+  // current runs, and only the cursors whose run ends exactly at the
+  // sub-run boundary advance — so each app's stream is consumed once
+  // per span instead of being re-probed once per sub-run. The sub-run
+  // arithmetic (total summed fresh in app order, per-app attribution via
+  // attribute_span) is operation-for-operation the per-sub-run walk it
+  // replaces, so every accumulator stays bit-identical.
+  const std::size_t k = views.size();
+  std::uint64_t advances = 0;
+  for (std::size_t i = 0; i < k; ++i) {
+    // Inactive tenants hold a zero-load frontier entry pinned to the
+    // span end: their cursor is never probed, the 0.0 still sums in app
+    // order (bit-identical to the reference gather), and the advance
+    // loop below can never re-seat them (run end == span end).
+    if (run.lifecycle_enabled && !run.active[i]) {
+      run.loads[i] = 0.0;
+      run.run_ends[i] = end;
+      continue;
     }
-  } else {
-    // Fused k-way merge over the apps' compiled RLE streams: one frontier
-    // entry per app (current value in run.loads, current run end in
-    // run.run_ends). Each shared sub-run is the intersection of the apps'
-    // current runs, and only the cursors whose run ends exactly at the
-    // sub-run boundary advance — so each app's stream is consumed once
-    // per span instead of being re-probed once per sub-run. The sub-run
-    // arithmetic (total summed fresh in app order, per-app attribution via
-    // attribute_span) is operation-for-operation the per-sub-run walk it
-    // replaces, so every accumulator stays bit-identical.
-    const std::size_t k = views.size();
-    std::uint64_t advances = 0;
+    const CompiledTrace::Run r = compiled[i]->run_at(cursors[i], begin);
+    run.loads[i] = r.value;
+    run.run_ends[i] = r.end;
+    ++advances;
+  }
+  TimePoint cur = begin;
+  while (cur < end) {
+    TimePoint sub_end = end;
+    ReqRate total = 0.0;
     for (std::size_t i = 0; i < k; ++i) {
-      // Inactive tenants hold a zero-load frontier entry pinned to the
-      // span end: their cursor is never probed, the 0.0 still sums in app
-      // order (bit-identical to the reference gather), and the advance
-      // loop below can never re-seat them (run end == span end).
-      if (run.lifecycle_enabled && !run.active[i]) {
-        run.loads[i] = 0.0;
-        run.run_ends[i] = end;
-        continue;
-      }
-      const CompiledTrace::Run r = compiled[i]->run_at(cursors[i], begin);
-      run.loads[i] = r.value;
-      run.run_ends[i] = r.end;
-      ++advances;
+      total += run.loads[i];
+      if (run.run_ends[i] < sub_end) sub_end = run.run_ends[i];
     }
-    TimePoint cur = begin;
-    while (cur < end) {
-      TimePoint sub_end = end;
-      ReqRate total = 0.0;
-      for (std::size_t i = 0; i < k; ++i) {
-        total += run.loads[i];
-        if (run.run_ends[i] < sub_end) sub_end = run.run_ends[i];
+    const TimePoint len = sub_end - cur;
+    ReqRate cap_eff = capacity_now;
+    if (deg) {
+      const DegradedCap dc =
+          degraded_capacity(run.degrade, total, capacity_now);
+      if (first) {
+        span_over = dc.overloaded;
+        first = false;
+      } else if (dc.overloaded != span_over) {
+        end = cur;
+        break;
       }
-      const TimePoint len = sub_end - cur;
-      ReqRate cap_eff = capacity_now;
-      if (deg) {
-        const DegradedCap dc =
-            degraded_capacity(run.degrade, total, capacity_now);
-        if (first) {
-          span_over = dc.overloaded;
-          first = false;
-        } else if (dc.overloaded != span_over) {
-          end = cur;
-          break;
-        }
-        cap_eff = dc.effective;
-        if (dc.overloaded) account_overload(views, run, total, dc.lost_rate, len);
-      }
-      const Watts compute = run.power_curve.power_at(total);
-      run.span_runs.push_back(Run::SegmentRun{total, compute, len, cap_eff});
-      if (run.span_runs.size() == kFlushChunk) flush();
-      attribute_span(views, run, total, ClusterPower{compute, transition},
-                     len, cap_eff);
-      cur = sub_end;
-      if (cur >= end) break;
-      for (std::size_t i = 0; i < k; ++i) {
-        if (run.run_ends[i] == cur) {
-          const CompiledTrace::Run r = compiled[i]->run_at(cursors[i], cur);
-          run.loads[i] = r.value;
-          run.run_ends[i] = r.end;
-          ++advances;
-        }
+      cap_eff = dc.effective;
+      if (dc.overloaded) account_overload(views, run, total, dc.lost_rate, len);
+    }
+    const Watts compute = run.power_curve.power_at(total);
+    run.span_runs.push_back(Run::SegmentRun{total, compute, len, cap_eff});
+    if (run.span_runs.size() == kFlushChunk) flush();
+    attribute_span(views, run, total, ClusterPower{compute, transition},
+                   len, cap_eff);
+    cur = sub_end;
+    if (cur >= end) break;
+    for (std::size_t i = 0; i < k; ++i) {
+      if (run.run_ends[i] == cur) {
+        const CompiledTrace::Run r = compiled[i]->run_at(cursors[i], cur);
+        run.loads[i] = r.value;
+        run.run_ends[i] = r.end;
+        ++advances;
       }
     }
-    if (metrics) {
-      metrics->merge_frontier_advances += advances;
-      if (k > metrics->merge_apps_max) metrics->merge_apps_max = k;
-    }
+  }
+  if (metrics) {
+    metrics->merge_frontier_advances += advances;
+    if (k > metrics->merge_apps_max) metrics->merge_apps_max = k;
   }
   flush();
   return end;
@@ -1660,21 +1560,11 @@ MultiSimulationResult Simulator::run_per_second(
 
     run.result.peak_machines =
         std::max(run.result.peak_machines, run.cluster.machine_count());
-
-    if (options_.record_power_every > 0) {
-      run.bucket_max =
-          std::max(run.bucket_max, power.compute + power.transition);
-      if (++run.bucket_fill == options_.record_power_every) {
-        run.power_samples.push_back(run.bucket_max);
-        run.bucket_max = 0.0;
-        run.bucket_fill = 0;
-      }
-    }
   }
   if (timeline)
     timeline->events.assign(events.events().begin(), events.events().end());
   MultiSimulationResult out;
-  finalize_run(run, options_, views, out);
+  finalize_run(run, views, out);
   if (log_events) out.total.events = std::move(events);
   return out;
 }
@@ -1715,46 +1605,36 @@ MultiSimulationResult Simulator::run_event_driven(
     //    as in the reference loop. Events can only be due at span starts:
     //    step 2 bounds every span by the timelines' next events, so both
     //    the active set and the failure set are constant inside one.
-    //    Any landed fault event changed the cluster, so cached consults
-    //    die.
+    //    Small-k runs empty the consult cache first (see kFleetModeApps).
+    if (views.size() < kFleetModeApps) invalidate_consults(run);
     if (run.lifecycle_enabled)
       apply_lifecycle_events(views, t, candidates_, run, nullptr);
-    if (run.faults.has_value() &&
-        apply_fault_events(t, candidates_, views, run, nullptr) &&
-        run.fleet_mode)
-      std::fill(run.consult_until.begin(), run.consult_until.end(),
-                static_cast<TimePoint>(-1));
+    if (run.faults.has_value())
+      apply_fault_events(t, candidates_, views, run, nullptr);
 
     // 1. Scheduler decisions, exactly as in the reference loop. While no
     //    reconfiguration is in flight the cluster state cannot change, so
     //    the intersection of the schedulers' stability bounds tells us how
     //    long the merged decision (and thus the fleet) stays as it is now.
-    //    Fleet mode reads the bounds straight from the consult cache —
-    //    consult_and_apply just refreshed every expired entry, and reusing
-    //    an unexpired (conservative) bound only ends spans early, which
-    //    splits integrals without changing any per-second value.
+    //    The bounds live in the consult cache: every entry consult_and_apply
+    //    just consulted (<= t) is refreshed at t, and reusing an unexpired
+    //    (conservative) one only ends spans early, which splits integrals
+    //    without changing any per-second value.
     TimePoint stable_until = t + 1;
     if (!run.state.reconfiguring) {
       consult_and_apply(views, t, candidates_, options_.graceful_off, run,
-                        nullptr, metrics, run.fleet_mode);
+                        nullptr, metrics);
       if (!run.state.reconfiguring) {
         // Only active tenants constrain the bound (inactive schedulers
         // are never consulted); with nobody active the span runs to the
-        // next churn event or the trace end. For fixed-tenant runs this
-        // min over every app is exactly the chain it replaces.
+        // next churn event or the trace end.
         stable_until = std::numeric_limits<TimePoint>::max();
-        if (run.fleet_mode) {
-          for (std::size_t i = 0; i < views.size(); ++i) {
-            if (run.lifecycle_enabled && !run.active[i]) continue;
-            stable_until = std::min(stable_until, run.consult_until[i]);
-          }
-        } else {
-          for (std::size_t i = 0; i < views.size(); ++i) {
-            if (run.lifecycle_enabled && !run.active[i]) continue;
-            stable_until = std::min(
-                stable_until,
-                views[i].scheduler->decision_stable_until(t, *views[i].trace));
-          }
+        for (std::size_t i = 0; i < views.size(); ++i) {
+          if (run.lifecycle_enabled && !run.active[i]) continue;
+          if (run.consult_until[i] <= t)
+            run.consult_until[i] =
+                views[i].scheduler->decision_stable_until(t, *views[i].trace);
+          stable_until = std::min(stable_until, run.consult_until[i]);
         }
         if (stable_until == std::numeric_limits<TimePoint>::max())
           stable_until = n;
@@ -1847,8 +1727,8 @@ MultiSimulationResult Simulator::run_event_driven(
     //    state, exactly like the per-second reference. (All of that
     //    accounting sits after the advance for this reason; its
     //    integrands are constant in-span either way.)
-    const TimePoint advanced = advance_span(views, run, compiled, cursors, t,
-                                            span_end, options_, metrics);
+    const TimePoint advanced =
+        advance_span(views, run, compiled, cursors, t, span_end, metrics);
     if (advanced < span_end) {
       span_end = advanced;
       cause = SpanEndCause::kOverloadCrossing;
@@ -1883,7 +1763,7 @@ MultiSimulationResult Simulator::run_event_driven(
     //    end of the span (Cluster::step is exact for multi-second steps).
     //    Anything that touched the cluster this span — a completion or an
     //    in-flight reconfiguration (whose settle below may issue deferred
-    //    offs) — invalidates the fleet-mode consult cache.
+    //    offs) — empties the consult cache.
     bool cluster_changed = false;
     if (run.cluster.transitioning())
       cluster_changed = run.cluster.step(static_cast<Seconds>(span)) > 0;
@@ -1892,9 +1772,7 @@ MultiSimulationResult Simulator::run_event_driven(
       settle_reconfiguration(span_end - 1, run.cluster, run.state, nullptr);
       cluster_changed = true;
     }
-    if (cluster_changed && run.fleet_mode)
-      std::fill(run.consult_until.begin(), run.consult_until.end(),
-                static_cast<TimePoint>(-1));
+    if (cluster_changed) invalidate_consults(run);
 
     run.result.peak_machines =
         std::max(run.result.peak_machines, run.cluster.machine_count());
@@ -1909,7 +1787,7 @@ MultiSimulationResult Simulator::run_event_driven(
     run.app_meters[0] = run.meter;
   }
   MultiSimulationResult out;
-  finalize_run(run, options_, views, out);
+  finalize_run(run, views, out);
   return out;
 }
 

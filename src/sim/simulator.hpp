@@ -46,8 +46,8 @@
 //     NOT break spans; inside a span the fleet is fixed, so the varying
 //     load is integrated by walking the traces' compiled run-length
 //     segments (sim/compiled_trace.hpp) and feeding the piecewise-constant
-//     kernels (EnergyMeter::add_runs, QosTracker::record_runs, power
-//     bucketing) — a per-second-noisy trace whose values stay inside one
+//     kernels (EnergyMeter::add_runs, QosTracker::record_runs) — a
+//     per-second-noisy trace whose values stay inside one
 //     decision-threshold bucket (core/decision_thresholds.hpp) costs zero
 //     scheduler evaluations. Multi-workload spans intersect the
 //     per-workload stability bounds and per-app trace runs. Steady *and*
@@ -73,7 +73,6 @@
 #include "sim/qos.hpp"
 #include "sim/scheduler.hpp"
 #include "trace/trace.hpp"
-#include "util/time_series.hpp"
 #include "util/units.hpp"
 
 namespace bml {
@@ -97,9 +96,6 @@ struct SimulatorOptions {
   /// Total capacity budget (req/s) split across workloads by their share
   /// weights in partitioned mode; <= 0 leaves proposals unclamped.
   ReqRate coordinator_budget = 0.0;
-  /// Record the total power series downsampled by this factor (seconds per
-  /// sample, max over the bucket); 0 disables recording.
-  std::size_t record_power_every = 0;
   /// Fault injection: boot-path jitter/retries, plus runtime crash/repair
   /// processes (FaultModel::mtbf / mttr) with per-app fault domains
   /// (WorkloadView::fault_domain). Runtime failures and repairs are
@@ -196,8 +192,6 @@ struct SimulationResult {
   /// classic fixed-tenant model.
   int arrivals = 0;
   int departures = 0;
-  /// Optional downsampled total power (W), see record_power_every.
-  TimeSeries power_series;
   /// Optional structured event log, see record_events.
   EventLog events{1};
   /// Self-metrics, see SimulatorOptions::collect_metrics (disabled and

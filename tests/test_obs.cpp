@@ -173,7 +173,8 @@ TEST(SimMetrics, MetricsCollectionDoesNotChangeResults) {
 }
 
 // Four effective apps (3 replicas + 1) put the event-driven path in
-// fleet mode: the fused k-way merge and the consult cache are active.
+// fleet mode: the fused k-way merge is active and the consult cache
+// carries unexpired bounds across spans.
 constexpr const char* kFleetSpec = R"(name = fleet
 catalog = illustrative
 seed = 7
@@ -209,6 +210,34 @@ TEST(SimMetrics, FleetModeKeepsCauseSumAndCountsMergeWork) {
   EXPECT_EQ(m.merge_apps_max, 4u);
   // Every span seeds one frontier cursor per app before consuming runs.
   EXPECT_GE(m.merge_frontier_advances, m.spans * 4);
+}
+
+TEST(SimMetrics, ConsultCadenceIsPinnedOnBothSidesOfTheFleetThreshold) {
+  // Exact consult and span counts, so a change to the consult cache (its
+  // invalidation sites or the app count where it starts to carry bounds
+  // across spans) shows up as a counter change rather than only as an
+  // equivalence-preserving speed change.
+  const auto metrics = [](ScenarioSpec spec) {
+    spec.obs_metrics = true;
+    return run_scenario(spec).sim.metrics;
+  };
+  // 4 apps: the cache carries unexpired bounds across spans.
+  const ScenarioSpec fleet = parse_scenario(kFleetSpec);
+  const SimMetrics four = metrics(fleet);
+  EXPECT_EQ(four.scheduler_consults, 11u);
+  EXPECT_EQ(four.spans, 5u);
+  // 3 apps: every span starts with an empty cache, the reference cadence.
+  ScenarioSpec small = fleet;
+  small.apps[0].replicas = 2;
+  const SimMetrics three = metrics(small);
+  EXPECT_EQ(three.scheduler_consults, 9u);
+  EXPECT_EQ(three.spans, 5u);
+  // The per-second reference consults every app at every second that has
+  // no reconfiguration in flight: 3 apps x 466 of the 600 seconds.
+  small.event_driven = false;
+  const SimMetrics reference = metrics(small);
+  EXPECT_EQ(reference.scheduler_consults, 1398u);
+  EXPECT_EQ(reference.ticks, 600u);
 }
 
 TEST(SimMetrics, MergeCountersExportUnderSimMergeNames) {

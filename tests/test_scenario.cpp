@@ -10,6 +10,9 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <sstream>
+#include <string>
+#include <vector>
 
 #include "predict/predictor.hpp"
 #include "scenario/registry.hpp"
@@ -874,6 +877,89 @@ trace.duration = 1200
   defaults.apps[1].depart = -1;
   const SweepReport same = run_sweep(defaults, SweepOptions{.threads = 1});
   EXPECT_EQ(plain.to_csv(), same.to_csv());
+}
+
+/// The sweep CSV minus the lifecycle-only columns (arrivals, departures,
+/// app<i>_active_seconds), header and rows alike.
+std::string csv_without_lifecycle_columns(const std::string& csv) {
+  std::stringstream lines(csv);
+  std::vector<char> keep;
+  std::string out;
+  for (std::string line; std::getline(lines, line);) {
+    const bool header = keep.empty();
+    std::stringstream cells(line);
+    std::string row;
+    std::size_t c = 0;
+    for (std::string cell; std::getline(cells, cell, ','); ++c) {
+      if (header)
+        keep.push_back(cell != "arrivals" && cell != "departures" &&
+                       !cell.ends_with("_active_seconds"));
+      if (keep.at(c)) row += (row.empty() ? "" : ",") + cell;
+    }
+    out += row + '\n';
+  }
+  return out;
+}
+
+TEST(RunSweep, LifecycleWithoutChurnMatchesTheFixedTenantRun) {
+  // Departing exactly at the trace end turns the tenant-lifecycle
+  // machinery on (active mask, churn-bounded spans, the active-subset
+  // attribution loop) without any app ever leaving, so every shared CSV
+  // column and the metrics text must equal the fixed-tenant run's —
+  // on the event-driven path below and at the fleet threshold, and on the
+  // per-second reference.
+  ScenarioSpec spec = parse_scenario(R"(name = steady
+catalog = real
+seed = 11
+obs.metrics = true
+[app]
+name = web
+trace = diurnal
+trace.days = 1
+trace.peak = 2000
+trace.noise = 0.05
+scheduler = bml
+predictor = oracle-max
+[app]
+name = api
+trace = flash_crowd
+trace.base = 300
+trace.burst_peak = 1500
+trace.duration = 86400
+trace.burst_start = 30000
+trace.ramp = 1800
+trace.hold = 7200
+scheduler = bml
+predictor = oracle-max
+[app]
+name = batch
+trace = constant
+trace.rate = 400
+trace.duration = 86400
+scheduler = reactive
+)");
+  const auto expect_same = [](const ScenarioSpec& fixed,
+                              const std::string& label) {
+    ScenarioSpec lifecycle = fixed;
+    for (AppSpec& app : lifecycle.apps) app.depart = 86400;
+    const SweepReport a = run_sweep(fixed, SweepOptions{.threads = 1});
+    const SweepReport b = run_sweep(lifecycle, SweepOptions{.threads = 1});
+    ASSERT_FALSE(a.rows[0].churn_enabled) << label;
+    ASSERT_TRUE(b.rows[0].churn_enabled) << label;
+    EXPECT_EQ(b.rows[0].departures, 0) << label;
+    EXPECT_EQ(csv_without_lifecycle_columns(a.to_csv()),
+              csv_without_lifecycle_columns(b.to_csv()))
+        << label;
+    EXPECT_FALSE(a.metrics.to_text().empty()) << label;
+    EXPECT_EQ(a.metrics.to_text(), b.metrics.to_text()) << label;
+  };
+  expect_same(spec, "3 apps, event-driven");
+  ScenarioSpec fleet = spec;
+  fleet.apps[0].replicas = 3;
+  expect_same(fleet, "5 apps, event-driven");
+  ScenarioSpec reference = spec;
+  reference.event_driven = false;
+  expect_same(reference, "3 apps, per-second");
 }
 
 TEST(RunSweep, DegradeAndPriorityAxesKeepTheSharedBuild) {

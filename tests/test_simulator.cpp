@@ -124,20 +124,6 @@ TEST(Simulator, PerDayTotalsSumToTotal) {
   EXPECT_NEAR(sum, r.total_energy(), 1e-6);
 }
 
-TEST(Simulator, PowerSeriesRecording) {
-  const auto d = design();
-  SimulatorOptions options;
-  options.record_power_every = 60;
-  Simulator sim(d->candidates(), options);
-  StaticMaxScheduler scheduler(d->big(), 0);
-  const LoadTrace trace = constant_trace(50.0, 150.0);
-  const SimulationResult r = sim.run(scheduler, trace);
-  ASSERT_EQ(r.power_series.size(), 3u);  // 60 + 60 + 30
-  for (std::size_t i = 0; i < r.power_series.size(); ++i)
-    EXPECT_GT(r.power_series[i], 69.9);
-  EXPECT_DOUBLE_EQ(r.power_series.step(), 60.0);
-}
-
 TEST(Simulator, LockoutBlocksDecisionsDuringReconfiguration) {
   const auto d = design();
   Simulator sim(d->candidates());

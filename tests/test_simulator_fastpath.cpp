@@ -87,11 +87,6 @@ void expect_equivalent(
                  reference.per_day_reconfiguration[d],
                  "per_day_reconfiguration");
   }
-
-  ASSERT_EQ(fast.power_series.size(), reference.power_series.size());
-  for (std::size_t i = 0; i < reference.power_series.size(); ++i)
-    expect_close(fast.power_series[i], reference.power_series[i],
-                 "power_series");
 }
 
 std::unique_ptr<Scheduler> oracle_bml() {
@@ -175,12 +170,6 @@ TEST(SimulatorFastPath, NoisyWorldCupWithBootFaults) {
   options.faults.boot_time_jitter = 0.3;
   options.faults.boot_failure_prob = 0.2;
   options.faults.seed = 17;
-  expect_equivalent(oracle_bml, noisy_worldcup_trace(), options);
-}
-
-TEST(SimulatorFastPath, NoisyWorldCupPowerSeriesRecording) {
-  SimulatorOptions options;
-  options.record_power_every = 60;
   expect_equivalent(oracle_bml, noisy_worldcup_trace(), options);
 }
 
@@ -825,14 +814,6 @@ TEST(SimulatorFastPath, BootFaultScenario) {
   options.faults.boot_time_jitter = 0.3;   // fractional boot durations
   options.faults.boot_failure_prob = 0.2;  // retried boots
   options.faults.seed = 11;
-  expect_equivalent(oracle_bml, trace, options);
-}
-
-TEST(SimulatorFastPath, PowerSeriesRecording) {
-  const LoadTrace trace =
-      step_trace({{150.0, 900.0}, {2100.0, 900.0}, {500.0, 900.0}});
-  SimulatorOptions options;
-  options.record_power_every = 60;
   expect_equivalent(oracle_bml, trace, options);
 }
 
