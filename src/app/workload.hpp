@@ -129,11 +129,11 @@ struct WorkloadResult {
   /// penalty (req·s).
   std::int64_t overload_seconds = 0;
   double penalty_lost_capacity = 0.0;
-  /// Domain-level slice of the degraded-mode accounting (faults and the
-  /// degrade model both active; as with failures, apps sharing a fault
-  /// domain report the same domain numbers): seconds the cluster ran
-  /// overloaded while any of the domain's apps offered load, and the
-  /// domain's apps' summed penalty loss (req·s).
+  /// Domain-level slice of the degraded-mode accounting (as with
+  /// failures, apps sharing a fault domain report the same domain
+  /// numbers; an app without a named domain is its own): seconds the
+  /// cluster ran overloaded while any of the domain's apps offered load,
+  /// and the domain's apps' summed penalty loss (req·s).
   std::int64_t domain_overload_seconds = 0;
   double domain_penalty_lost = 0.0;
   /// Priority/preemption slice (Workload::priority): seconds this app had

@@ -108,6 +108,12 @@ class Coordinator {
   /// True when the priority-ordered total-budget trim is in effect (at
   /// least two apps' priorities differ).
   [[nodiscard]] bool prioritized() const { return prioritized_; }
+  /// App indices in trim order (ascending priority, descending index) —
+  /// the order lower classes give up machines in; empty unless
+  /// prioritized().
+  [[nodiscard]] const std::vector<std::size_t>& trim_order() const {
+    return trim_order_;
+  }
 
  private:
   /// Shared merge tail: folds the SLO spares into the (post-trim)

@@ -17,17 +17,18 @@
 
 namespace bml {
 
-/// One constant-load run of a piecewise-constant span (see
-/// QosTracker::record_runs).
+/// One constant-load run of a piecewise-constant span, with the serving
+/// capacity it is scored against (see QosTracker::record_runs_var).
 struct LoadRun {
   ReqRate load = 0.0;
   std::int64_t seconds = 0;
+  ReqRate cap = 0.0;
 };
 
 /// Aggregated totals of one span, accumulated by a caller that fused the
 /// per-run QoS arithmetic into its own segment walk (the event-driven
 /// simulator's single-workload fast path). Fields mirror what
-/// record_runs would have accumulated for the same runs.
+/// record_runs_var would have accumulated for the same runs.
 struct QosSpanTotals {
   std::int64_t seconds = 0;
   std::int64_t violation_seconds = 0;
@@ -106,54 +107,19 @@ class QosTracker {
     }
   }
 
-  /// Piecewise-constant span kernel: records every run of `runs` against a
-  /// constant `capacity` in one call — the varying-load counterpart of
-  /// record_span for spans where the fleet is fixed but the trace is not.
-  /// Accumulates locally and flushes once (this runs once per event-driven
-  /// span with one entry per trace segment). Integer counters are exact;
-  /// request integrals match per-second recording up to floating-point
-  /// summation order.
+  /// Piecewise-constant span kernel: records every run of `runs` in one
+  /// call, each against its own serving capacity — the varying-load
+  /// counterpart of record_span for spans where the fleet is fixed but
+  /// the trace (and, under the degrade model, the capacity QoS is scored
+  /// against) is not. Accumulates locally and flushes once (this runs
+  /// once per event-driven span with one entry per trace segment).
+  /// Integer counters are exact; request integrals match per-second
+  /// recording up to floating-point summation order.
   ///
-  /// `runs` is any range whose elements expose `load` and `seconds`
-  /// members — LoadRun is the canonical element; the simulator passes its
-  /// fused per-segment scratch rows directly so this loop inlines into
-  /// the span walk.
-  template <typename Runs>
-  void record_runs(const Runs& runs, ReqRate capacity) {
-    if (capacity < 0.0)
-      throw std::invalid_argument("QosTracker: negative load or capacity");
-    std::int64_t total = 0;
-    std::int64_t violation = 0;
-    double offered = 0.0;
-    double unserved = 0.0;
-    ReqRate worst = 0.0;
-    for (const auto& run : runs) {
-      if (run.load < 0.0)
-        throw std::invalid_argument("QosTracker: negative load or capacity");
-      if (run.seconds < 0)
-        throw std::invalid_argument("QosTracker: negative span");
-      if (run.seconds == 0) continue;  // a 0 s run must not touch worst_
-      total += run.seconds;
-      offered += run.load * static_cast<double>(run.seconds);
-      const double shortfall = run.load - capacity;
-      if (shortfall > 0.0) {
-        violation += run.seconds;
-        unserved += shortfall * static_cast<double>(run.seconds);
-        if (shortfall > worst) worst = shortfall;
-      }
-    }
-    stats_.total_seconds += total;
-    stats_.violation_seconds += violation;
-    stats_.offered_requests += offered;
-    stats_.unserved_requests += unserved;
-    stats_.worst_shortfall = std::max(stats_.worst_shortfall, worst);
-  }
-
-  /// As record_runs with a *per-run* capacity: elements additionally
-  /// expose a `cap` member — the effective serving capacity of that run.
-  /// Degraded-mode spans go through this kernel, because the spill-over
-  /// absorbed above rated capacity (and hence the capacity QoS is scored
-  /// against) varies with each sub-run's load.
+  /// `runs` is any range whose elements expose `load`, `seconds` and
+  /// `cap` members — LoadRun is the canonical element; the simulator
+  /// passes its fused per-segment scratch rows directly so this loop
+  /// inlines into the span walk.
   template <typename Runs>
   void record_runs_var(const Runs& runs) {
     std::int64_t total = 0;
@@ -184,7 +150,7 @@ class QosTracker {
   }
 
   /// Folds caller-accumulated span totals in (the fully fused counterpart
-  /// of record_runs — see QosSpanTotals).
+  /// of record_runs_var — see QosSpanTotals).
   void record_totals(const QosSpanTotals& totals) {
     stats_.total_seconds += totals.seconds;
     stats_.violation_seconds += totals.violation_seconds;

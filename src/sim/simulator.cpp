@@ -4,7 +4,6 @@
 #include <cmath>
 #include <limits>
 #include <map>
-#include <numeric>
 #include <stdexcept>
 
 #include "sim/fault_timeline.hpp"
@@ -118,10 +117,10 @@ struct ReconfigState {
 };
 
 /// Runtime-fault state of one run: the event timeline plus per-domain
-/// bookkeeping. Present only when FaultModel::runtime_active(). All of it
-/// is driven by the shared apply/account helpers, so the per-second
-/// reference and the event-driven fast path see the exact same failure
-/// history.
+/// bookkeeping (the timeline is empty unless FaultModel::runtime_active(),
+/// so a fault-free run never fells anything). All of it is driven by the
+/// shared apply/account helpers, so the per-second reference and the
+/// event-driven fast path see the exact same failure history.
 struct FaultRun {
   FaultTimeline timeline;
   /// Workload index -> fault-domain index (views sharing a
@@ -163,10 +162,9 @@ struct FaultRun {
   };
   std::vector<std::vector<Outage>> outages;
   std::vector<TimePoint> down_since;
-  /// Degraded-mode accounting per domain (sized only when the degrade
-  /// model is enabled): seconds the cluster ran overloaded while any of
-  /// the domain's apps offered load, and the domain's apps' summed share
-  /// of penalty-lost capacity (req·s).
+  /// Degraded-mode accounting per domain: seconds the cluster ran
+  /// overloaded while any of the domain's apps offered load, and the
+  /// domain's apps' summed share of penalty-lost capacity (req·s).
   std::vector<std::int64_t> overload_seconds;
   std::vector<double> penalty_lost;
 };
@@ -208,8 +206,9 @@ struct Run {
     ReqRate load;
     Watts compute;
     TimePoint seconds;
-    /// Effective serving capacity of this sub-run (degraded-mode spans
-    /// only — QosTracker::record_runs_var keys off it; otherwise unused).
+    /// Effective serving capacity of this sub-run, the capacity
+    /// QosTracker::record_runs_var scores it against (the On capacity
+    /// unless the degrade model absorbs spill-over).
     ReqRate cap;
   };
   std::vector<SegmentRun> span_runs;
@@ -223,16 +222,16 @@ struct Run {
   /// Consult cache, see kFleetModeApps.
   std::vector<TimePoint> consult_until;
   FleetPowerCurve power_curve;
-  /// Runtime crash/repair state; disengaged unless the fault model's
-  /// runtime channel is active.
-  std::optional<FaultRun> faults;
-  /// SLO feedback state (any view with slo_availability > 0). The spare
-  /// flags are a pure function of the outage history — flag i is set iff
-  /// the app's domain's trailing-window downtime exceeds its error budget
-  /// — evaluated at consult time; `spares` / `spare_flags` hold what the
-  /// last merge actually provisioned, so accrual and attribution only
-  /// change at merge instants (identical in both execution strategies).
-  bool slo_enabled = false;
+  /// Runtime crash/repair state (an empty timeline when no runtime faults
+  /// are configured).
+  FaultRun faults;
+  /// SLO feedback state. The spare flags are a pure function of the
+  /// outage history — flag i is set iff the app's domain's trailing-window
+  /// downtime exceeds its error budget — evaluated at consult time;
+  /// `spares` / `spare_flags` hold what the last merge actually
+  /// provisioned, so accrual and attribution only change at merge instants
+  /// (identical in both execution strategies). Apps without an SLO never
+  /// raise a flag, so their spares stay empty.
   TimePoint slo_window = 0;
   /// Per-app error budget (1 - target) * window in seconds; -1 = no SLO.
   std::vector<double> slo_budget;
@@ -248,11 +247,12 @@ struct Run {
   /// Which spares the last merge actually provisioned, post priority
   /// ordering (high-priority-first withholding); parallel to `spares`.
   std::vector<char> spare_granted;
-  /// Degraded-mode serving (options.degrade.enabled()): the model plus
-  /// the overload accounting — cluster-wide, per app, and (in FaultRun)
-  /// per domain. The integrands only change at sub-run boundaries, and
-  /// overload entry/exit crossings bound fast-path spans, so both
-  /// execution strategies integrate the exact same piecewise signal.
+  /// Degraded-mode serving: the model plus the overload accounting —
+  /// cluster-wide, per app, and (in FaultRun) per domain. With
+  /// overload_factor 0 no slice is ever overloaded, so nothing accrues.
+  /// The integrands only change at sub-run boundaries, and overload
+  /// entry/exit crossings bound fast-path spans, so both execution
+  /// strategies integrate the exact same piecewise signal.
   DegradeModel degrade;
   std::int64_t overload_seconds = 0;
   double penalty_lost = 0.0;
@@ -264,25 +264,21 @@ struct Run {
   /// Per-second path only: last second's overload state, for the
   /// enter/exit events.
   bool overloaded_now = false;
-  /// Priority/preemption state (any two view priorities differ): victim
-  /// order for the preemption pass (ascending priority, descending
-  /// index — matches the coordinator's trim order), the machines
-  /// currently preempted away from each app (recomputed at every fault
-  /// batch, cleared at every consult merge), and the per-app
+  /// Priority/preemption state: the machines currently preempted away
+  /// from each app (recomputed at every fault batch, cleared at every
+  /// consult merge; victims come in Coordinator::trim_order, which is
+  /// empty when all priorities are equal), and the per-app
   /// preempted-seconds integrals.
-  bool priority_enabled = false;
-  std::vector<std::size_t> victim_order;
   std::vector<Combination> preempted;
   std::vector<Combination> preempted_scratch;
   std::vector<std::int64_t> app_preempted_seconds;
-  /// Tenant-lifecycle state (any view with arrive > 0 or depart >= 0):
-  /// the current active mask, the pre-sorted arrival/departure timeline
+  /// Tenant-lifecycle state: the current active mask (all ones when no
+  /// view sets arrive/depart), the pre-sorted arrival/departure timeline
   /// (consumed front to back — events bound fast-path spans exactly like
   /// faults, so the active set is constant inside one), and the per-app
   /// active-seconds integrals. `lifecycle_dirty` forces a merge at the
   /// next consult so churn re-partitions capacity through the normal
-  /// decision path; fixed-tenant runs leave all of this disengaged.
-  bool lifecycle_enabled = false;
+  /// decision path.
   std::vector<char> active;
   std::size_t active_count = 0;
   struct LifecycleEvent {
@@ -309,21 +305,16 @@ void update_transition_shares(const Catalog& candidates, Run& run) {
   double total = 0.0;
   for (const Combination& c : run.contributions)
     total += capacity(candidates, c);
-  if (run.lifecycle_enabled && total <= 0.0) {
-    // Equal split makes no sense over departed tenants: spread the
-    // (attribution-only) weight over the active set instead.
-    for (std::size_t i = 0; i < run.contributions.size(); ++i)
-      run.transition_shares[i] =
-          run.active[i] && run.active_count > 0
-              ? 1.0 / static_cast<double>(run.active_count)
-              : 0.0;
-    return;
-  }
-  const auto n = static_cast<double>(run.contributions.size());
+  // An empty fleet splits the (attribution-only) weight equally over the
+  // tenants present, never over departed ones.
+  const double equal = run.active_count > 0
+                           ? 1.0 / static_cast<double>(run.active_count)
+                           : 0.0;
   for (std::size_t i = 0; i < run.contributions.size(); ++i)
     run.transition_shares[i] =
         total > 0.0 ? capacity(candidates, run.contributions[i]) / total
-                    : 1.0 / n;
+        : run.active[i] ? equal
+                        : 0.0;
 }
 
 /// Trailing-window downtime of domain `d` over [t - window, t), assuming
@@ -349,11 +340,11 @@ TimePoint window_unavailable(const FaultRun& fr, std::size_t d, TimePoint t,
 /// function of the outage history, so both execution strategies get
 /// identical flags from identical timelines. Prunes outage intervals that
 /// have left every window (pruned intervals contribute 0, so pruning
-/// cadence cannot affect results). Fault-free runs keep all flags clear.
+/// cadence cannot affect results). Fault-free runs keep all flags clear:
+/// their outage history is empty.
 void current_spare_flags(Run& run, TimePoint t, std::vector<char>& flags) {
   flags.assign(run.slo_budget.size(), 0);
-  if (!run.faults.has_value()) return;
-  FaultRun& fr = *run.faults;
+  FaultRun& fr = run.faults;
   const TimePoint lo = t - run.slo_window;
   for (std::vector<FaultRun::Outage>& history : fr.outages) {
     std::size_t drop = 0;
@@ -366,7 +357,7 @@ void current_spare_flags(Run& run, TimePoint t, std::vector<char>& flags) {
     if (run.slo_budget[i] < 0.0) continue;
     // A departed (or not-yet-arrived) tenant's flag is pinned clear: no
     // spares are held for apps that are not serving.
-    if (run.lifecycle_enabled && !run.active[i]) continue;
+    if (!run.active[i]) continue;
     const std::size_t d = fr.domain_of[i];
     flags[i] = static_cast<double>(window_unavailable(
                    fr, d, t, run.slo_window)) > run.slo_budget[i];
@@ -380,13 +371,13 @@ void current_spare_flags(Run& run, TimePoint t, std::vector<char>& flags) {
 /// non-decreasing while down, non-increasing while up — so each budget
 /// crosses at most once inside the span and exact binary search finds it.
 TimePoint next_slo_crossing(const Run& run, TimePoint t, TimePoint limit) {
-  const FaultRun& fr = *run.faults;
+  const FaultRun& fr = run.faults;
   TimePoint bound = limit;
   for (std::size_t i = 0; i < run.slo_budget.size(); ++i) {
     const double budget = run.slo_budget[i];
     if (budget < 0.0) continue;
     // Inactive tenants' flags are pinned clear, so they cannot cross.
-    if (run.lifecycle_enabled && !run.active[i]) continue;
+    if (!run.active[i]) continue;
     const std::size_t d = fr.domain_of[i];
     // A clean window stays clean: no downtime can enter it inside a span.
     if (fr.down_since[d] < 0 && fr.outages[d].empty()) continue;
@@ -432,12 +423,10 @@ Watts idle_power_of(const Catalog& candidates, const Combination& c) {
 }
 
 /// The coordinator merge both decision sites share: the proposals plus
-/// the currently provisioned SLO spares (none when the loop is off).
+/// the currently provisioned SLO spares (all empty without an SLO).
 Combination merge_current(Run& run) {
-  return run.slo_enabled
-             ? run.coordinator.merge(run.proposals, run.spares,
-                                     run.contributions_scratch)
-             : run.coordinator.merge(run.proposals, run.contributions_scratch);
+  return run.coordinator.merge(run.proposals, run.spares,
+                               run.contributions_scratch);
 }
 
 /// Accrues the provisioned spares' idle energy and active seconds over a
@@ -462,6 +451,8 @@ void account_spare_span(Run& run, TimePoint span) {
 /// (1 - penalty) effectively; spill beyond the absorption limit is simply
 /// unserved. Power is untouched — the fleet curve already saturates at
 /// rated capacity, so the contention penalty is capacity-side only.
+/// Without the model (overload_factor 0) no slice counts as overloaded:
+/// nothing accrues and no overload crossing bounds a span.
 struct DegradedCap {
   ReqRate effective;  // capacity QoS is scored against
   ReqRate lost_rate;  // capacity lost to the contention penalty, req/s
@@ -470,7 +461,8 @@ struct DegradedCap {
 
 DegradedCap degraded_capacity(const DegradeModel& model, ReqRate load,
                               ReqRate capacity) {
-  if (!(load > capacity)) return DegradedCap{capacity, 0.0, false};
+  if (!model.enabled() || !(load > capacity))
+    return DegradedCap{capacity, 0.0, false};
   const ReqRate over = load - capacity;
   const ReqRate limit = capacity * model.overload_factor;
   const ReqRate absorbed = over < limit ? over : limit;
@@ -490,21 +482,19 @@ void account_overload(const std::vector<WorkloadView>& views, Run& run,
   const auto seconds = static_cast<double>(span);
   run.overload_seconds += span;
   run.penalty_lost += lost_rate * seconds;
-  FaultRun* fr = run.faults.has_value() ? &*run.faults : nullptr;
-  if (fr) std::fill(run.domain_hit.begin(), run.domain_hit.end(), 0);
+  FaultRun& fr = run.faults;
+  std::fill(run.domain_hit.begin(), run.domain_hit.end(), 0);
   for (std::size_t i = 0; i < views.size(); ++i) {
     if (!(run.loads[i] > 0.0)) continue;
     run.app_overload_seconds[i] += span;
     const double lost = lost_rate * seconds * (run.loads[i] / total_load);
     run.app_penalty_lost[i] += lost;
-    if (fr) {
-      const std::size_t d = fr->domain_of[i];
-      if (!run.domain_hit[d]) {
-        run.domain_hit[d] = 1;
-        fr->overload_seconds[d] += span;
-      }
-      fr->penalty_lost[d] += lost;
+    const std::size_t d = fr.domain_of[i];
+    if (!run.domain_hit[d]) {
+      run.domain_hit[d] = 1;
+      fr.overload_seconds[d] += span;
     }
+    fr.penalty_lost[d] += lost;
   }
 }
 
@@ -582,11 +572,13 @@ Run make_run(const Catalog& candidates, const SimulatorOptions& options,
              std::shared_ptr<const DispatchPlan> plan,
              const std::vector<WorkloadView>& views) {
   const std::size_t kinds = candidates.size();
+  const std::size_t apps = views.size();
   std::vector<double> shares;
   std::vector<int> priorities;
-  shares.reserve(views.size());
-  priorities.reserve(views.size());
-  bool lifecycle = false;
+  shares.reserve(apps);
+  priorities.reserve(apps);
+  std::vector<char> active;
+  active.reserve(apps);
   for (const WorkloadView& v : views) {
     shares.push_back(v.share);
     if (v.priority < 0)
@@ -596,20 +588,14 @@ Run make_run(const Catalog& candidates, const SimulatorOptions& options,
       throw std::invalid_argument("Simulator: arrive must be >= 0");
     if (v.depart >= 0 && v.depart <= v.arrive)
       throw std::invalid_argument("Simulator: depart must be > arrive");
-    if (v.arrive > 0 || v.depart >= 0) lifecycle = true;
+    active.push_back(v.arrive > 0 ? 0 : 1);
   }
   Coordinator coordinator(candidates, options.coordinator, std::move(shares),
                           options.coordinator_budget, priorities);
-  std::vector<char> active;
-  if (lifecycle) {
-    active.assign(views.size(), 1);
-    for (std::size_t i = 0; i < views.size(); ++i)
-      if (views[i].arrive > 0) active[i] = 0;
-    coordinator.set_active(active);
-  }
+  coordinator.set_active(active);
 
   std::vector<Combination> proposals;
-  proposals.reserve(views.size());
+  proposals.reserve(apps);
   for (const WorkloadView& v : views) {
     // A tenant that has not arrived yet proposes nothing: the initial
     // fleet is sized for the apps serving at t = 0 only.
@@ -633,42 +619,37 @@ Run make_run(const Catalog& candidates, const SimulatorOptions& options,
   run.state.deferred_offs.assign(kinds, 0);
   run.proposals = std::move(proposals);
   run.contributions = std::move(contributions);
-  run.lifecycle_enabled = lifecycle;
-  run.active_count = views.size();
-  if (lifecycle) {
-    run.active = std::move(active);
-    run.active_count = 0;
-    for (const char a : run.active)
-      if (a) ++run.active_count;
-    run.app_active_seconds.assign(views.size(), 0);
-    for (std::size_t i = 0; i < views.size(); ++i) {
-      if (views[i].arrive > 0)
-        run.lifecycle_events.push_back(
-            Run::LifecycleEvent{views[i].arrive, i, false});
-      if (views[i].depart >= 0)
-        run.lifecycle_events.push_back(
-            Run::LifecycleEvent{views[i].depart, i, true});
-    }
-    // Deterministic timeline: by time, arrivals before departures, by app
-    // index within a kind — all events at one instant land in one batch
-    // before any merge, so the order only shapes the event log.
-    std::sort(run.lifecycle_events.begin(), run.lifecycle_events.end(),
-              [](const Run::LifecycleEvent& a, const Run::LifecycleEvent& b) {
-                if (a.time != b.time) return a.time < b.time;
-                if (a.departure != b.departure) return !a.departure;
-                return a.app < b.app;
-              });
+  run.active = std::move(active);
+  run.active_count = static_cast<std::size_t>(
+      std::count(run.active.begin(), run.active.end(), 1));
+  run.app_active_seconds.assign(apps, 0);
+  for (std::size_t i = 0; i < apps; ++i) {
+    if (views[i].arrive > 0)
+      run.lifecycle_events.push_back(
+          Run::LifecycleEvent{views[i].arrive, i, false});
+    if (views[i].depart >= 0)
+      run.lifecycle_events.push_back(
+          Run::LifecycleEvent{views[i].depart, i, true});
   }
-  run.transition_shares.assign(views.size(), 0.0);
+  // Deterministic timeline: by time, arrivals before departures, by app
+  // index within a kind — all events at one instant land in one batch
+  // before any merge, so the order only shapes the event log.
+  std::sort(run.lifecycle_events.begin(), run.lifecycle_events.end(),
+            [](const Run::LifecycleEvent& a, const Run::LifecycleEvent& b) {
+              if (a.time != b.time) return a.time < b.time;
+              if (a.departure != b.departure) return !a.departure;
+              return a.app < b.app;
+            });
+  run.transition_shares.assign(apps, 0.0);
   update_transition_shares(candidates, run);
-  run.app_meters.assign(views.size(), EnergyMeter(1.0));
-  run.app_qos.resize(views.size());
-  run.loads.assign(views.size(), 0.0);
-  run.alloc.assign(views.size(), 0.0);
-  run.run_ends.assign(views.size(), 0);
-  run.consult_until.assign(views.size(), -1);
-  run.slo_budget.assign(views.size(), -1.0);
-  for (std::size_t i = 0; i < views.size(); ++i) {
+  run.app_meters.assign(apps, EnergyMeter(1.0));
+  run.app_qos.resize(apps);
+  run.loads.assign(apps, 0.0);
+  run.alloc.assign(apps, 0.0);
+  run.run_ends.assign(apps, 0);
+  run.consult_until.assign(apps, -1);
+  run.slo_budget.assign(apps, -1.0);
+  for (std::size_t i = 0; i < apps; ++i) {
     const double target = views[i].slo_availability;
     if (target < 0.0 || target > 1.0)
       throw std::invalid_argument(
@@ -678,21 +659,19 @@ Run make_run(const Catalog& candidates, const SimulatorOptions& options,
       throw std::invalid_argument("Simulator: slo_spare must be > 0");
     if (!(options.slo_window >= 1.0))
       throw std::invalid_argument("Simulator: slo_window must be >= 1");
-    run.slo_enabled = true;
     run.slo_window = static_cast<TimePoint>(std::llround(options.slo_window));
     run.slo_budget[i] =
         (1.0 - target) * static_cast<double>(run.slo_window);
   }
-  if (run.slo_enabled) {
-    run.spares.assign(views.size(), Combination{});
-    for (Combination& c : run.spares) c.resize(kinds);
-    run.spare_flags.assign(views.size(), 0);
-    run.flags_scratch.assign(views.size(), 0);
-    run.spare_power.assign(views.size(), 0.0);
-    run.app_spare_energy.assign(views.size(), 0.0);
-    run.app_spare_seconds.assign(views.size(), 0);
-    run.spare_granted.assign(views.size(), 0);
-  }
+  Combination empty;
+  empty.resize(kinds);
+  run.spares.assign(apps, empty);
+  run.spare_flags.assign(apps, 0);
+  run.flags_scratch.assign(apps, 0);
+  run.spare_power.assign(apps, 0.0);
+  run.app_spare_energy.assign(apps, 0.0);
+  run.app_spare_seconds.assign(apps, 0);
+  run.spare_granted.assign(apps, 0);
   run.degrade = options.degrade;
   if (!std::isfinite(run.degrade.overload_factor) ||
       run.degrade.overload_factor < 0.0)
@@ -700,64 +679,40 @@ Run make_run(const Catalog& candidates, const SimulatorOptions& options,
         "Simulator: degrade.overload_factor must be >= 0");
   if (!(run.degrade.penalty >= 0.0 && run.degrade.penalty <= 1.0))
     throw std::invalid_argument("Simulator: degrade.penalty must be in [0, 1]");
-  if (run.degrade.enabled()) {
-    run.app_overload_seconds.assign(views.size(), 0);
-    run.app_penalty_lost.assign(views.size(), 0.0);
-  }
-  for (std::size_t i = 1; i < views.size(); ++i)
-    if (views[i].priority != views[0].priority) {
-      run.priority_enabled = true;
-      break;
+  run.app_overload_seconds.assign(apps, 0);
+  run.app_penalty_lost.assign(apps, 0.0);
+  run.preempted.assign(apps, empty);
+  run.preempted_scratch = run.preempted;
+  run.app_preempted_seconds.assign(apps, 0);
+
+  FaultRun& faults = run.faults;
+  // Map views to fault domains: same non-empty name = shared domain,
+  // first-appearance order; unnamed views fail independently.
+  std::map<std::string, std::size_t> named;
+  faults.domain_of.reserve(apps);
+  for (const WorkloadView& v : views) {
+    if (v.fault_domain == nullptr || v.fault_domain->empty()) {
+      faults.domain_of.push_back(faults.domains++);
+    } else {
+      const auto [it, inserted] =
+          named.try_emplace(*v.fault_domain, faults.domains);
+      if (inserted) ++faults.domains;
+      faults.domain_of.push_back(it->second);
     }
-  if (run.priority_enabled) {
-    run.victim_order.resize(views.size());
-    std::iota(run.victim_order.begin(), run.victim_order.end(),
-              std::size_t{0});
-    std::stable_sort(run.victim_order.begin(), run.victim_order.end(),
-                     [&views](std::size_t a, std::size_t b) {
-                       if (views[a].priority != views[b].priority)
-                         return views[a].priority < views[b].priority;
-                       return a > b;
-                     });
-    run.preempted.assign(views.size(), Combination{});
-    for (Combination& c : run.preempted) c.resize(kinds);
-    run.preempted_scratch = run.preempted;
-    run.app_preempted_seconds.assign(views.size(), 0);
   }
-  if (options.faults.runtime_active()) {
-    FaultRun faults;
-    // Map views to fault domains: same non-empty name = shared domain,
-    // first-appearance order; unnamed views fail independently.
-    std::map<std::string, std::size_t> named;
-    faults.domain_of.reserve(views.size());
-    for (const WorkloadView& v : views) {
-      if (v.fault_domain == nullptr || v.fault_domain->empty()) {
-        faults.domain_of.push_back(faults.domains++);
-      } else {
-        const auto [it, inserted] =
-            named.try_emplace(*v.fault_domain, faults.domains);
-        if (inserted) ++faults.domains;
-        faults.domain_of.push_back(it->second);
-      }
-    }
-    faults.timeline =
-        FaultTimeline(options.faults, kinds, faults.domains);
-    faults.failed.assign(faults.domains, std::vector<int>(kinds, 0));
-    faults.failed_machines.assign(faults.domains, 0);
-    faults.failed_capacity.assign(faults.domains, 0.0);
-    faults.unavailable_seconds.assign(faults.domains, 0);
-    faults.lost_capacity.assign(faults.domains, 0.0);
-    faults.failures.assign(faults.domains, 0);
-    faults.groups = options.faults.group_active() ? options.faults.groups : 0;
-    faults.outages.assign(faults.domains, {});
-    faults.down_since.assign(faults.domains, -1);
-    if (run.degrade.enabled()) {
-      faults.overload_seconds.assign(faults.domains, 0);
-      faults.penalty_lost.assign(faults.domains, 0.0);
-      run.domain_hit.assign(faults.domains, 0);
-    }
-    run.faults.emplace(std::move(faults));
-  }
+  faults.timeline = FaultTimeline(options.faults, kinds, faults.domains);
+  faults.failed.assign(faults.domains, std::vector<int>(kinds, 0));
+  faults.failed_machines.assign(faults.domains, 0);
+  faults.failed_capacity.assign(faults.domains, 0.0);
+  faults.unavailable_seconds.assign(faults.domains, 0);
+  faults.lost_capacity.assign(faults.domains, 0.0);
+  faults.failures.assign(faults.domains, 0);
+  faults.groups = options.faults.group_active() ? options.faults.groups : 0;
+  faults.outages.assign(faults.domains, {});
+  faults.down_since.assign(faults.domains, -1);
+  faults.overload_seconds.assign(faults.domains, 0);
+  faults.penalty_lost.assign(faults.domains, 0.0);
+  run.domain_hit.assign(faults.domains, 0);
   return run;
 }
 
@@ -765,70 +720,51 @@ Run make_run(const Catalog& candidates, const SimulatorOptions& options,
 void finalize_run(Run& run, const std::vector<WorkloadView>& views,
                   MultiSimulationResult& out) {
   SimulationResult& r = run.result;
+  const FaultRun& fr = run.faults;
   r.compute_energy = run.meter.compute_energy();
   r.reconfiguration_energy = run.meter.reconfiguration_energy();
   r.per_day_compute = run.meter.per_day_compute();
   r.per_day_reconfiguration = run.meter.per_day_reconfiguration();
   r.qos = run.qos.stats();
-  if (run.faults.has_value()) {
-    const FaultRun& fr = *run.faults;
-    r.machine_failures = fr.total_failures;
-    r.unavailable_seconds = fr.total_unavailable;
-    r.lost_capacity = fr.total_lost;
-    r.group_strikes = fr.group_strikes;
-    r.availability =
-        r.qos.total_seconds > 0
-            ? 1.0 - static_cast<double>(fr.total_unavailable) /
-                        static_cast<double>(r.qos.total_seconds)
-            : 1.0;
-  }
-  if (run.slo_enabled) {
-    r.spare_seconds = run.total_spare_seconds;
-    r.spare_energy = run.total_spare_energy;
-  }
-  if (run.degrade.enabled()) {
-    r.overload_seconds = run.overload_seconds;
-    r.penalty_lost_capacity = run.penalty_lost;
-  }
+  r.machine_failures = fr.total_failures;
+  r.unavailable_seconds = fr.total_unavailable;
+  r.lost_capacity = fr.total_lost;
+  r.group_strikes = fr.group_strikes;
+  r.availability = r.qos.total_seconds > 0
+                       ? 1.0 - static_cast<double>(fr.total_unavailable) /
+                                   static_cast<double>(r.qos.total_seconds)
+                       : 1.0;
+  r.spare_seconds = run.total_spare_seconds;
+  r.spare_energy = run.total_spare_energy;
+  r.overload_seconds = run.overload_seconds;
+  r.penalty_lost_capacity = run.penalty_lost;
   out.total = std::move(run.result);
   out.apps.resize(views.size());
   for (std::size_t i = 0; i < views.size(); ++i) {
     WorkloadResult& app = out.apps[i];
+    const std::size_t d = fr.domain_of[i];
     app.name = *views[i].name;
     app.scheduler_name = views[i].scheduler->name();
     app.qos = views[i].qos;
     app.qos_stats = run.app_qos[i].stats();
     app.compute_energy = run.app_meters[i].compute_energy();
     app.reconfiguration_energy = run.app_meters[i].reconfiguration_energy();
-    if (run.faults.has_value()) {
-      const FaultRun& fr = *run.faults;
-      const std::size_t d = fr.domain_of[i];
-      app.failures = fr.failures[d];
-      app.unavailable_seconds = fr.unavailable_seconds[d];
-      app.lost_capacity = fr.lost_capacity[d];
-      app.availability =
-          app.qos_stats.total_seconds > 0
-              ? 1.0 - static_cast<double>(fr.unavailable_seconds[d]) /
-                          static_cast<double>(app.qos_stats.total_seconds)
-              : 1.0;
-    }
-    if (run.slo_enabled) {
-      app.spare_seconds = run.app_spare_seconds[i];
-      app.spare_energy = run.app_spare_energy[i];
-    }
-    if (run.degrade.enabled()) {
-      app.overload_seconds = run.app_overload_seconds[i];
-      app.penalty_lost_capacity = run.app_penalty_lost[i];
-      if (run.faults.has_value()) {
-        const std::size_t d = run.faults->domain_of[i];
-        app.domain_overload_seconds = run.faults->overload_seconds[d];
-        app.domain_penalty_lost = run.faults->penalty_lost[d];
-      }
-    }
-    if (run.priority_enabled)
-      app.preempted_seconds = run.app_preempted_seconds[i];
-    app.active_seconds = run.lifecycle_enabled ? run.app_active_seconds[i]
-                                               : app.qos_stats.total_seconds;
+    app.failures = fr.failures[d];
+    app.unavailable_seconds = fr.unavailable_seconds[d];
+    app.lost_capacity = fr.lost_capacity[d];
+    app.availability =
+        app.qos_stats.total_seconds > 0
+            ? 1.0 - static_cast<double>(fr.unavailable_seconds[d]) /
+                        static_cast<double>(app.qos_stats.total_seconds)
+            : 1.0;
+    app.spare_seconds = run.app_spare_seconds[i];
+    app.spare_energy = run.app_spare_energy[i];
+    app.overload_seconds = run.app_overload_seconds[i];
+    app.penalty_lost_capacity = run.app_penalty_lost[i];
+    app.domain_overload_seconds = fr.overload_seconds[d];
+    app.domain_penalty_lost = fr.penalty_lost[d];
+    app.preempted_seconds = run.app_preempted_seconds[i];
+    app.active_seconds = run.app_active_seconds[i];
   }
 }
 
@@ -885,8 +821,7 @@ void consult_and_apply(const std::vector<WorkloadView>& views, TimePoint now,
   bool any_new = false;
   std::uint64_t consults = 0;
   for (std::size_t i = 0; i < views.size(); ++i) {
-    if (run.lifecycle_enabled && !run.active[i]) continue;
-    if (run.consult_until[i] > now) continue;
+    if (!run.active[i] || run.consult_until[i] > now) continue;
     ++consults;
     std::optional<Combination> d =
         views[i].scheduler->decide(now, *views[i].trace, run.snap);
@@ -899,45 +834,38 @@ void consult_and_apply(const std::vector<WorkloadView>& views, TimePoint now,
     }
   }
   if (metrics) metrics->scheduler_consults += consults;
-  bool slo_changed = false;
-  if (run.slo_enabled) {
-    current_spare_flags(run, now, run.flags_scratch);
-    slo_changed = run.flags_scratch != run.spare_flags;
-  }
+  current_spare_flags(run, now, run.flags_scratch);
+  const bool slo_changed = run.flags_scratch != run.spare_flags;
   if (!any_new && !slo_changed && !run.lifecycle_dirty) return;
   run.lifecycle_dirty = false;
-  if (run.slo_enabled) {
-    // Refresh the provisioned spares from the *current* proposals: an
-    // active flag rides on whatever the app now asks for. With priority
-    // classes, spares are provisioned high-priority-first: while any
-    // higher-priority app's flag is active, lower-priority apps' spares
-    // are withheld (their flags keep being evaluated, so provisioning
-    // resumes the moment the top class recovers).
-    int top = std::numeric_limits<int>::min();
-    if (run.priority_enabled)
-      for (std::size_t i = 0; i < views.size(); ++i)
-        if (run.flags_scratch[i] != 0 && views[i].priority > top)
-          top = views[i].priority;
-    for (std::size_t i = 0; i < views.size(); ++i) {
-      const bool granted =
-          run.flags_scratch[i] != 0 &&
-          (!run.priority_enabled || views[i].priority >= top);
-      if (events && granted != (run.spare_granted[i] != 0))
-        events->record(now,
-                       granted ? EventKind::kSpareProvision
-                               : EventKind::kSpareRelease,
-                       *views[i].name);
-      if (granted) {
-        spare_of(run.proposals[i], views[i].slo_spare, candidates.size(),
-                 run.spares[i]);
-      } else if (run.spares[i].total_machines() > 0) {
-        run.spares[i] = Combination{};
-        run.spares[i].resize(candidates.size());
-      }
-      run.spare_power[i] = idle_power_of(candidates, run.spares[i]);
-      run.spare_flags[i] = run.flags_scratch[i];
-      run.spare_granted[i] = granted ? 1 : 0;
+  // Refresh the provisioned spares from the *current* proposals: an
+  // active flag rides on whatever the app now asks for. Spares are
+  // provisioned high-priority-first: while any higher-priority app's flag
+  // is active, lower-priority apps' spares are withheld (their flags keep
+  // being evaluated, so provisioning resumes the moment the top class
+  // recovers).
+  int top = std::numeric_limits<int>::min();
+  for (std::size_t i = 0; i < views.size(); ++i)
+    if (run.flags_scratch[i] != 0 && views[i].priority > top)
+      top = views[i].priority;
+  for (std::size_t i = 0; i < views.size(); ++i) {
+    const bool granted =
+        run.flags_scratch[i] != 0 && views[i].priority >= top;
+    if (events && granted != (run.spare_granted[i] != 0))
+      events->record(now,
+                     granted ? EventKind::kSpareProvision
+                             : EventKind::kSpareRelease,
+                     *views[i].name);
+    if (granted) {
+      spare_of(run.proposals[i], views[i].slo_spare, candidates.size(),
+               run.spares[i]);
+    } else if (run.spares[i].total_machines() > 0) {
+      run.spares[i] = Combination{};
+      run.spares[i].resize(candidates.size());
     }
+    run.spare_power[i] = idle_power_of(candidates, run.spares[i]);
+    run.spare_flags[i] = run.flags_scratch[i];
+    run.spare_granted[i] = granted ? 1 : 0;
   }
   Combination merged = merge_current(run);
   run.contributions.swap(run.contributions_scratch);
@@ -948,12 +876,11 @@ void consult_and_apply(const std::vector<WorkloadView>& views, TimePoint now,
   // A consult that re-merged has re-provisioned every app's full
   // entitlement (apply_decision boots the difference vs the preemption-
   // reduced target), so any outstanding preemption ends here.
-  if (run.priority_enabled)
-    for (Combination& c : run.preempted)
-      if (c.total_machines() > 0) {
-        c = Combination{};
-        c.resize(candidates.size());
-      }
+  for (Combination& c : run.preempted)
+    if (c.total_machines() > 0) {
+      c = Combination{};
+      c.resize(candidates.size());
+    }
   if (run.result.reconfigurations != reconfigs_before)
     invalidate_consults(run);
 }
@@ -1005,66 +932,66 @@ void restore_after_failure(TimePoint now, const Catalog& candidates,
   // themselves only change at consult instants, shared by both paths).
   Combination merged = merge_current(run);
   run.contributions.swap(run.contributions_scratch);
-  if (run.priority_enabled && run.faults.has_value()) {
-    // Victims: apps with priority strictly below the highest priority
-    // among apps whose domain currently holds a failed machine, shed in
-    // trim order (lowest priority first, descending index). Per arch, at
-    // most the currently-failed machine count may be preempted — deficit
-    // beyond that predates the failures and is the decision loop's to fix.
-    const FaultRun& fr = *run.faults;
-    int top = std::numeric_limits<int>::min();
-    for (std::size_t i = 0; i < views.size(); ++i) {
-      if (run.lifecycle_enabled && !run.active[i]) continue;
-      if (fr.failed_machines[fr.domain_of[i]] > 0 && views[i].priority > top)
-        top = views[i].priority;
-    }
-    for (Combination& c : run.preempted_scratch) {
+  // Victims: apps with priority strictly below the highest priority among
+  // apps whose domain currently holds a failed machine, shed in trim order
+  // (lowest priority first, descending index; empty when all priorities
+  // are equal, so nothing is preempted). Per arch, at most the
+  // currently-failed machine count may be preempted — deficit beyond that
+  // predates the failures and is the decision loop's to fix.
+  const FaultRun& fr = run.faults;
+  int top = std::numeric_limits<int>::min();
+  for (std::size_t i = 0; i < views.size(); ++i) {
+    if (!run.active[i]) continue;
+    if (fr.failed_machines[fr.domain_of[i]] > 0 && views[i].priority > top)
+      top = views[i].priority;
+  }
+  for (Combination& c : run.preempted_scratch)
+    if (c.total_machines() > 0) {
       c = Combination{};
       c.resize(candidates.size());
     }
-    if (top > std::numeric_limits<int>::min()) {
-      for (std::size_t a = 0; a < candidates.size(); ++a) {
-        const int have = run.cluster.on_count(a) +
-                         run.cluster.booting_count(a) -
-                         run.state.deferred_offs[a];
-        int deficit = merged.count(a) - have;
-        int takeable = 0;
-        for (std::size_t d = 0; d < fr.domains; ++d)
-          takeable += fr.failed[d][a];
-        if (deficit > takeable) deficit = takeable;
-        for (std::size_t victim : run.victim_order) {
-          if (deficit <= 0) break;
-          if (views[victim].priority >= top) continue;
-          const int give =
-              std::min(deficit, run.contributions[victim].count(a));
-          if (give <= 0) continue;
-          run.contributions[victim].add(a, -give);
-          merged.add(a, -give);
-          run.preempted_scratch[victim].add(a, give);
-          deficit -= give;
-        }
+  if (top > std::numeric_limits<int>::min()) {
+    for (std::size_t a = 0; a < candidates.size(); ++a) {
+      const int have = run.cluster.on_count(a) +
+                       run.cluster.booting_count(a) -
+                       run.state.deferred_offs[a];
+      int deficit = merged.count(a) - have;
+      int takeable = 0;
+      for (std::size_t d = 0; d < fr.domains; ++d)
+        takeable += fr.failed[d][a];
+      if (deficit > takeable) deficit = takeable;
+      for (std::size_t victim : run.coordinator.trim_order()) {
+        if (deficit <= 0) break;
+        if (views[victim].priority >= top) continue;
+        const int give =
+            std::min(deficit, run.contributions[victim].count(a));
+        if (give <= 0) continue;
+        run.contributions[victim].add(a, -give);
+        merged.add(a, -give);
+        run.preempted_scratch[victim].add(a, give);
+        deficit -= give;
       }
     }
-    int newly = 0;
-    for (std::size_t i = 0; i < views.size(); ++i) {
-      int app_new = 0;
-      for (std::size_t a = 0; a < candidates.size(); ++a) {
-        const int diff = run.preempted_scratch[i].count(a) -
-                         run.preempted[i].count(a);
-        if (diff > 0) app_new += diff;
-      }
-      if (app_new > 0 && events)
-        events->record(now, EventKind::kPreemption,
-                       std::to_string(app_new) + " from " + *views[i].name);
-      newly += app_new;
-    }
-    if (newly > 0) {
-      run.result.preemptions += newly;
-      if (run.result.metrics.enabled)
-        run.result.metrics.preemptions += static_cast<std::uint64_t>(newly);
-    }
-    run.preempted.swap(run.preempted_scratch);
   }
+  int newly = 0;
+  for (std::size_t i = 0; i < views.size(); ++i) {
+    int app_new = 0;
+    for (std::size_t a = 0; a < candidates.size(); ++a) {
+      const int diff =
+          run.preempted_scratch[i].count(a) - run.preempted[i].count(a);
+      if (diff > 0) app_new += diff;
+    }
+    if (app_new > 0 && events)
+      events->record(now, EventKind::kPreemption,
+                     std::to_string(app_new) + " from " + *views[i].name);
+    newly += app_new;
+  }
+  if (newly > 0) {
+    run.result.preemptions += newly;
+    if (run.result.metrics.enabled)
+      run.result.metrics.preemptions += static_cast<std::uint64_t>(newly);
+  }
+  run.preempted.swap(run.preempted_scratch);
   update_transition_shares(candidates, run);
   run.state.current_target = std::move(merged);
 
@@ -1107,7 +1034,7 @@ void restore_after_failure(TimePoint now, const Catalog& candidates,
 void apply_fault_events(TimePoint now, const Catalog& candidates,
                         const std::vector<WorkloadView>& views, Run& run,
                         EventLog* events) {
-  FaultRun& fr = *run.faults;
+  FaultRun& fr = run.faults;
   bool need_restore = false;
   bool any_event = false;
   // One landed failure, any strike kind: cluster + counters + repair job
@@ -1115,7 +1042,7 @@ void apply_fault_events(TimePoint now, const Catalog& candidates,
   const auto fell_one = [&](std::size_t d, std::size_t a,
                             TimePoint repair_seconds) {
     const ReqRate machine_capacity = candidates[a].max_perf();
-    if (run.slo_enabled && fr.failed_machines[d] == 0) fr.down_since[d] = now;
+    if (fr.failed_machines[d] == 0) fr.down_since[d] = now;
     run.cluster.fail_one(a);
     ++fr.failed[d][a];
     ++fr.failed_machines[d];
@@ -1145,11 +1072,9 @@ void apply_fault_events(TimePoint now, const Catalog& candidates,
       if (fr.failed_machines[e->domain] == 0) {
         fr.failed_capacity[e->domain] = 0.0;
         // The domain's outage closes; the interval feeds the SLO windows.
-        if (run.slo_enabled) {
-          fr.outages[e->domain].push_back(
-              FaultRun::Outage{fr.down_since[e->domain], now});
-          fr.down_since[e->domain] = -1;
-        }
+        fr.outages[e->domain].push_back(
+            FaultRun::Outage{fr.down_since[e->domain], now});
+        fr.down_since[e->domain] = -1;
       }
       if (fr.total_failed_machines == 0) fr.total_failed_capacity = 0.0;
       if (events)
@@ -1199,10 +1124,11 @@ void apply_fault_events(TimePoint now, const Catalog& candidates,
   }
   // Priority runs recompute the preemption pass at *every* landed batch
   // (repairs release preempted machines and boot their replacements);
-  // priority-free runs only restore when a strike left a deficit,
-  // byte-identical to a preemption-unaware build.
+  // priority-free runs only restore when a strike left a deficit — a
+  // re-merge there could pick up a proposal an arrival re-seeded since the
+  // last consult.
   if (any_event) invalidate_consults(run);
-  if (need_restore || (any_event && run.priority_enabled))
+  if (need_restore || (any_event && run.coordinator.prioritized()))
     restore_after_failure(now, candidates, views, run, events);
 }
 
@@ -1229,9 +1155,7 @@ ReqRate gather_loads(const std::vector<WorkloadView>& views, TimePoint now,
   for (std::size_t i = 0; i < views.size(); ++i) {
     // Inactive tenants offer exactly 0.0: summing the zero in app order
     // keeps the total bit-identical to a gather over the active subset.
-    run.loads[i] = run.lifecycle_enabled && !run.active[i]
-                       ? 0.0
-                       : views[i].trace->at(now);
+    run.loads[i] = run.active[i] ? views[i].trace->at(now) : 0.0;
     total += run.loads[i];
   }
   return total;
@@ -1242,18 +1166,17 @@ ReqRate gather_loads(const std::vector<WorkloadView>& views, TimePoint now,
 /// cluster-wide aggregates are recorded by the callers, unchanged from
 /// the single-workload simulator. `capacity` is the caller's On capacity
 /// for the span (constant across a fixed-fleet span, so hoisted into the
-/// capacity-parameterized Cluster::split_capacity overload). Tenant-
-/// lifecycle runs attribute over the active subset only: inactive apps
-/// integrate nothing (their loads are pinned to 0.0), and an idle-cluster
-/// equal split spreads over the tenants present (`active_count` is the
-/// app count when lifecycle is off).
+/// capacity-parameterized Cluster::split_capacity overload). Attribution
+/// covers the active subset only: inactive apps integrate nothing (their
+/// loads are pinned to 0.0), and an idle-cluster equal split spreads over
+/// the tenants present.
 void attribute_span(const std::vector<WorkloadView>& views, Run& run,
                     ReqRate total_load, const ClusterPower& power,
                     TimePoint span, ReqRate capacity) {
   const auto n = static_cast<double>(run.active_count);
   Cluster::split_capacity(run.loads, total_load, capacity, run.alloc);
   for (std::size_t i = 0; i < views.size(); ++i) {
-    if (run.lifecycle_enabled && !run.active[i]) continue;
+    if (!run.active[i]) continue;
     run.app_qos[i].record_span(run.loads[i], run.alloc[i], span);
     const double compute_share =
         total_load > 0.0 ? run.loads[i] / total_load : 1.0 / n;
@@ -1269,14 +1192,24 @@ std::size_t longest_trace(const std::vector<WorkloadView>& views) {
   return n;
 }
 
+/// True when the event-driven loop takes the fused single-workload walk:
+/// with one app whose tenancy never changes, the capacity, compute and
+/// transition shares are all exactly 1.0, so the per-app accumulators
+/// would replay the cluster-wide streams bit-for-bit — advance_span skips
+/// them and run_event_driven copies the aggregates at the end instead.
+bool fused_single_app(const std::vector<WorkloadView>& views,
+                      const Run& run) {
+  return views.size() == 1 && run.lifecycle_events.empty();
+}
+
 /// Advances [begin, end) with a fixed fleet (no transition completes and no
 /// decision is applied inside): walks the intersection of the workloads'
 /// compiled-trace runs, so a span over a per-second-noisy trace costs one
 /// iteration per constant-value sub-run instead of one per second. Each
 /// sub-run's power / QoS / per-app attribution is closed-form; the
 /// cluster-wide piecewise kernels (EnergyMeter::add_runs,
-/// QosTracker::record_runs) then each consume the whole run list in one
-/// call.
+/// QosTracker::record_runs_var) then each consume the whole run list in
+/// one call.
 ///
 /// Returns the time actually advanced to (== `end` normally). With the
 /// degrade model enabled, an overload entry/exit inside the span stops
@@ -1296,8 +1229,8 @@ TimePoint advance_span(const std::vector<WorkloadView>& views, Run& run,
   const ReqRate capacity_now = run.cluster.on_capacity();
   const Watts transition = run.cluster.transition_power();
   run.cluster.compile_power_curve(run.power_curve);
-  const bool deg = run.degrade.enabled();
-  bool first = true;
+  // The span's overload state, fixed by its first sub-run: a later
+  // sub-run that differs ends the span at its start.
   bool span_over = false;
 
   // Kernel flushes happen in L1-sized chunks: a quiet day can be one span
@@ -1307,21 +1240,14 @@ TimePoint advance_span(const std::vector<WorkloadView>& views, Run& run,
   // floating-point summation order; day attribution is unaffected (spans
   // never straddle days — the caller clamps them).
   constexpr std::size_t kFlushChunk = 512;
-  const auto flush = [&run, capacity_now, transition, deg] {
+  const auto flush = [&run, transition] {
     if (run.span_runs.empty()) return;
-    if (deg)
-      run.qos.record_runs_var(run.span_runs);
-    else
-      run.qos.record_runs(run.span_runs, capacity_now);
+    run.qos.record_runs_var(run.span_runs);
     run.meter.add_runs(run.span_runs, transition);
     run.span_runs.clear();
   };
 
-  // Single-workload runs skip per-run attribution entirely: with one app
-  // the capacity, compute and transition shares are all exactly 1.0, so
-  // the per-app accumulators would replay the cluster-wide streams
-  // bit-for-bit — run_event_driven copies them at the end instead.
-  if (views.size() == 1 && !run.lifecycle_enabled) {
+  if (fused_single_app(views, run)) {
     // Fully fused single-workload walk — the innermost loop of the whole
     // simulator on noisy traces. QoS totals and the compute-energy
     // integral accumulate in registers and flush once per span through
@@ -1337,27 +1263,23 @@ TimePoint advance_span(const std::vector<WorkloadView>& views, Run& run,
       const TimePoint sub_end = r.end < end ? r.end : end;
       const TimePoint len = sub_end - cur;
       const auto seconds = static_cast<double>(len);
-      ReqRate cap_eff = capacity_now;
-      if (deg) {
-        const DegradedCap dc =
-            degraded_capacity(run.degrade, r.value, capacity_now);
-        if (first) {
-          span_over = dc.overloaded;
-          first = false;
-        } else if (dc.overloaded != span_over) {
+      const DegradedCap dc =
+          degraded_capacity(run.degrade, r.value, capacity_now);
+      if (dc.overloaded != span_over) {
+        if (cur > begin) {
           end = cur;
           break;
         }
-        cap_eff = dc.effective;
-        if (dc.overloaded) {
-          run.loads[0] = r.value;
-          account_overload(views, run, r.value, dc.lost_rate, len);
-        }
+        span_over = true;
+      }
+      if (dc.overloaded) {
+        run.loads[0] = r.value;
+        account_overload(views, run, r.value, dc.lost_rate, len);
       }
       totals.seconds += len;
       totals.offered += r.value * seconds;
-      if (r.value > cap_eff) {
-        const double shortfall = r.value - cap_eff;
+      if (r.value > dc.effective) {
+        const double shortfall = r.value - dc.effective;
         totals.violation_seconds += len;
         totals.unserved += shortfall * seconds;
         if (shortfall > totals.worst_shortfall)
@@ -1387,7 +1309,7 @@ TimePoint advance_span(const std::vector<WorkloadView>& views, Run& run,
     // span end: their cursor is never probed, the 0.0 still sums in app
     // order (bit-identical to the reference gather), and the advance
     // loop below can never re-seat them (run end == span end).
-    if (run.lifecycle_enabled && !run.active[i]) {
+    if (!run.active[i]) {
       run.loads[i] = 0.0;
       run.run_ends[i] = end;
       continue;
@@ -1406,25 +1328,20 @@ TimePoint advance_span(const std::vector<WorkloadView>& views, Run& run,
       if (run.run_ends[i] < sub_end) sub_end = run.run_ends[i];
     }
     const TimePoint len = sub_end - cur;
-    ReqRate cap_eff = capacity_now;
-    if (deg) {
-      const DegradedCap dc =
-          degraded_capacity(run.degrade, total, capacity_now);
-      if (first) {
-        span_over = dc.overloaded;
-        first = false;
-      } else if (dc.overloaded != span_over) {
+    const DegradedCap dc = degraded_capacity(run.degrade, total, capacity_now);
+    if (dc.overloaded != span_over) {
+      if (cur > begin) {
         end = cur;
         break;
       }
-      cap_eff = dc.effective;
-      if (dc.overloaded) account_overload(views, run, total, dc.lost_rate, len);
+      span_over = true;
     }
+    if (dc.overloaded) account_overload(views, run, total, dc.lost_rate, len);
     const Watts compute = run.power_curve.power_at(total);
-    run.span_runs.push_back(Run::SegmentRun{total, compute, len, cap_eff});
+    run.span_runs.push_back(Run::SegmentRun{total, compute, len, dc.effective});
     if (run.span_runs.size() == kFlushChunk) flush();
     attribute_span(views, run, total, ClusterPower{compute, transition},
-                   len, cap_eff);
+                   len, dc.effective);
     cur = sub_end;
     if (cur >= end) break;
     for (std::size_t i = 0; i < k; ++i) {
@@ -1481,22 +1398,19 @@ MultiSimulationResult Simulator::run_per_second(
 
     // Tenant arrivals and departures land first: the fault engine, the
     // schedulers and the dispatcher all see the post-churn tenant set.
-    if (run.lifecycle_enabled)
-      apply_lifecycle_events(views, now, candidates_, run, events_ptr);
+    apply_lifecycle_events(views, now, candidates_, run, events_ptr);
 
     // Fault events land at the start of the second, before any decision:
     // the scheduler and the dispatcher see the post-failure fleet.
-    if (run.faults.has_value()) {
-      apply_fault_events(now, candidates_, views, run, events_ptr);
-      account_fault_span(*run.faults, 1);
-    }
+    apply_fault_events(now, candidates_, views, run, events_ptr);
+    account_fault_span(run.faults, 1);
 
     if (!run.state.reconfiguring)
       consult_and_apply(views, now, candidates_, options_.graceful_off, run,
                         events_ptr, metrics);
-    if (run.slo_enabled) account_spare_span(run, 1);
-    if (run.priority_enabled) account_preemption_span(run, 1);
-    if (run.lifecycle_enabled) account_lifecycle_span(run, 1);
+    account_spare_span(run, 1);
+    account_preemption_span(run, 1);
+    account_lifecycle_span(run, 1);
     if (metrics) ++metrics->ticks;
 
     const ReqRate load = gather_loads(views, now, run);
@@ -1505,21 +1419,17 @@ MultiSimulationResult Simulator::run_per_second(
     // Degraded-mode serving: QoS (cluster-wide and per-app) is scored
     // against the effective capacity; the power draw is unchanged (the
     // fleet curve already saturates at rated capacity).
-    ReqRate cap_eff = capacity_now;
-    if (run.degrade.enabled()) {
-      const DegradedCap dc =
-          degraded_capacity(run.degrade, load, capacity_now);
-      cap_eff = dc.effective;
-      if (dc.overloaded) account_overload(views, run, load, dc.lost_rate, 1);
-      if (log_events && dc.overloaded != run.overloaded_now)
-        events.record(now,
-                      dc.overloaded ? EventKind::kOverloadEnter
-                                    : EventKind::kOverloadExit,
-                      dc.overloaded
-                          ? std::to_string(load - capacity_now) + " req/s over"
-                          : "");
-      run.overloaded_now = dc.overloaded;
-    }
+    const DegradedCap dc = degraded_capacity(run.degrade, load, capacity_now);
+    const ReqRate cap_eff = dc.effective;
+    if (dc.overloaded) account_overload(views, run, load, dc.lost_rate, 1);
+    if (log_events && dc.overloaded != run.overloaded_now)
+      events.record(now,
+                    dc.overloaded ? EventKind::kOverloadEnter
+                                  : EventKind::kOverloadExit,
+                    dc.overloaded
+                        ? std::to_string(load - capacity_now) + " req/s over"
+                        : "");
+    run.overloaded_now = dc.overloaded;
     run.qos.record(load, cap_eff);
     if (log_events && load > cap_eff)
       events.record(now, EventKind::kQosViolation,
@@ -1538,9 +1448,8 @@ MultiSimulationResult Simulator::run_per_second(
       }
       sample.offered = load;
       sample.served = load < cap_eff ? load : cap_eff;
-      if (run.slo_enabled)
-        for (const Combination& c : run.spares)
-          sample.spare_machines += static_cast<int>(c.total_machines());
+      for (const Combination& c : run.spares)
+        sample.spare_machines += static_cast<int>(c.total_machines());
       timeline->samples.push_back(std::move(sample));
     }
     run.meter.add_compute_sample(power.compute);
@@ -1607,10 +1516,8 @@ MultiSimulationResult Simulator::run_event_driven(
     //    the active set and the failure set are constant inside one.
     //    Small-k runs empty the consult cache first (see kFleetModeApps).
     if (views.size() < kFleetModeApps) invalidate_consults(run);
-    if (run.lifecycle_enabled)
-      apply_lifecycle_events(views, t, candidates_, run, nullptr);
-    if (run.faults.has_value())
-      apply_fault_events(t, candidates_, views, run, nullptr);
+    apply_lifecycle_events(views, t, candidates_, run, nullptr);
+    apply_fault_events(t, candidates_, views, run, nullptr);
 
     // 1. Scheduler decisions, exactly as in the reference loop. While no
     //    reconfiguration is in flight the cluster state cannot change, so
@@ -1630,7 +1537,7 @@ MultiSimulationResult Simulator::run_event_driven(
         // next churn event or the trace end.
         stable_until = std::numeric_limits<TimePoint>::max();
         for (std::size_t i = 0; i < views.size(); ++i) {
-          if (run.lifecycle_enabled && !run.active[i]) continue;
+          if (!run.active[i]) continue;
           if (run.consult_until[i] <= t)
             run.consult_until[i] =
                 views[i].scheduler->decision_stable_until(t, *views[i].trace);
@@ -1669,21 +1576,18 @@ MultiSimulationResult Simulator::run_event_driven(
     // set (and hence capacity, power, and the availability integrand) is
     // constant. The timeline's events are strictly in the future of the
     // drain in step 0, so this never shrinks the span below t + 1.
-    if (run.faults.has_value()) {
-      const TimePoint fault_at = run.faults->timeline.next_event();
-      if (fault_at < span_end) {
-        span_end = fault_at;
-        cause = run.faults->timeline.next_repair() == fault_at
-                    ? SpanEndCause::kCrewCompletion
-                    : SpanEndCause::kFault;
-      }
+    const TimePoint fault_at = run.faults.timeline.next_event();
+    if (fault_at < span_end) {
+      span_end = fault_at;
+      cause = run.faults.timeline.next_repair() == fault_at
+                  ? SpanEndCause::kCrewCompletion
+                  : SpanEndCause::kFault;
     }
     // The next tenant arrival or departure bounds the span exactly like a
     // fault strike: the active set (and with it the gather, attribution
     // and coordinator partition) is constant inside one. Step 0 consumed
     // every event due at or before t, so this is strictly in the future.
-    if (run.lifecycle_enabled &&
-        run.next_lifecycle < run.lifecycle_events.size()) {
+    if (run.next_lifecycle < run.lifecycle_events.size()) {
       const TimePoint churn_at =
           run.lifecycle_events[run.next_lifecycle].time;
       if (churn_at < span_end) {
@@ -1703,8 +1607,7 @@ MultiSimulationResult Simulator::run_event_driven(
     // re-evaluates the SLO flags every idle second, so an idle span must
     // end at the first second a trailing window crosses an app's error
     // budget (exact — the downtime integrand is fixed inside the span).
-    if (run.slo_enabled && run.faults.has_value() &&
-        !run.state.reconfiguring) {
+    if (!run.state.reconfiguring) {
       const TimePoint crossing = next_slo_crossing(run, t, span_end);
       if (crossing < span_end) {
         span_end = crossing;
@@ -1753,10 +1656,10 @@ MultiSimulationResult Simulator::run_event_driven(
       ++metrics->span_end_causes[static_cast<std::size_t>(cause)];
       metrics->span_seconds.observe(static_cast<double>(span));
     }
-    if (run.faults.has_value()) account_fault_span(*run.faults, span);
-    if (run.slo_enabled) account_spare_span(run, span);
-    if (run.priority_enabled) account_preemption_span(run, span);
-    if (run.lifecycle_enabled) account_lifecycle_span(run, span);
+    account_fault_span(run.faults, span);
+    account_spare_span(run, span);
+    account_preemption_span(run, span);
+    account_lifecycle_span(run, span);
     if (run.state.reconfiguring) run.result.reconfiguring_seconds += span;
 
     // 4. Machine transitions progress; completions land exactly at the
@@ -1778,11 +1681,9 @@ MultiSimulationResult Simulator::run_event_driven(
         std::max(run.result.peak_machines, run.cluster.machine_count());
     t = span_end;
   }
-  // Single-workload runs: the per-app streams are exactly the cluster-wide
-  // streams (every share is 1.0), so advance_span skipped them — install
-  // the aggregates as the app slice. (A lifecycle single-app run went
-  // through the k-way merge and attributed normally.)
-  if (views.size() == 1 && !run.lifecycle_enabled) {
+  // The fused single-workload walk skipped the per-app streams: install
+  // the aggregates as the app slice.
+  if (fused_single_app(views, run)) {
     run.app_qos[0] = run.qos;
     run.app_meters[0] = run.meter;
   }

@@ -46,7 +46,7 @@
 //     NOT break spans; inside a span the fleet is fixed, so the varying
 //     load is integrated by walking the traces' compiled run-length
 //     segments (sim/compiled_trace.hpp) and feeding the piecewise-constant
-//     kernels (EnergyMeter::add_runs, QosTracker::record_runs) — a
+//     kernels (EnergyMeter::add_runs, QosTracker::record_runs_var) — a
 //     per-second-noisy trace whose values stay inside one
 //     decision-threshold bucket (core/decision_thresholds.hpp) costs zero
 //     scheduler evaluations. Multi-workload spans intersect the
@@ -246,9 +246,9 @@ class Simulator {
     /// Priority class (higher = more important; see Workload::priority).
     int priority = 0;
     /// Tenant lifecycle: active interval [arrive, depart), -1 = never
-    /// departs (see Workload::arrive / depart). Any view with arrive > 0
-    /// or depart >= 0 switches the run into lifecycle mode; all-default
-    /// views keep the classic fixed-tenant model byte-identical.
+    /// departs (see Workload::arrive / depart). The defaults keep the
+    /// tenant active for the whole replay (the classic fixed-tenant
+    /// model).
     TimePoint arrive = 0;
     TimePoint depart = -1;
   };

@@ -52,36 +52,47 @@ TEST(QosTracker, RejectsNegativeInputs) {
 }
 
 TEST(QosTracker, RecordRunsMatchesPerRunRecordSpan) {
-  const std::vector<LoadRun> runs{
-      {500.0, 120}, {900.0, 37}, {0.0, 60}, {810.5, 1}, {799.99, 9}};
-  const ReqRate capacity = 800.0;
-  QosTracker kernel;
-  QosTracker reference;
-  kernel.record_runs(runs, capacity);
-  for (const LoadRun& run : runs)
-    reference.record_span(run.load, capacity, run.seconds);
+  // Constant capacity (the fixed-fleet span) and a per-run capacity that
+  // changes mid-span (degraded-mode spill-over) go through the same kernel.
+  for (const bool varying : {false, true}) {
+    std::vector<LoadRun> runs{{500.0, 120, 800.0},
+                              {900.0, 37, 800.0},
+                              {0.0, 60, 800.0},
+                              {810.5, 1, 800.0},
+                              {799.99, 9, 800.0}};
+    if (varying) {
+      runs[1].cap = 880.0;
+      runs[3].cap = 812.0;
+      runs[4].cap = 700.0;
+    }
+    QosTracker kernel;
+    QosTracker reference;
+    kernel.record_runs_var(runs);
+    for (const LoadRun& run : runs)
+      reference.record_span(run.load, run.cap, run.seconds);
 
-  EXPECT_EQ(kernel.stats().total_seconds, reference.stats().total_seconds);
-  EXPECT_EQ(kernel.stats().violation_seconds,
-            reference.stats().violation_seconds);
-  EXPECT_DOUBLE_EQ(kernel.stats().worst_shortfall,
-                   reference.stats().worst_shortfall);
-  EXPECT_NEAR(kernel.stats().offered_requests,
-              reference.stats().offered_requests, 1e-9);
-  EXPECT_NEAR(kernel.stats().unserved_requests,
-              reference.stats().unserved_requests, 1e-9);
+    EXPECT_EQ(kernel.stats().total_seconds, reference.stats().total_seconds);
+    EXPECT_EQ(kernel.stats().violation_seconds,
+              reference.stats().violation_seconds);
+    EXPECT_DOUBLE_EQ(kernel.stats().worst_shortfall,
+                     reference.stats().worst_shortfall);
+    EXPECT_NEAR(kernel.stats().offered_requests,
+                reference.stats().offered_requests, 1e-9);
+    EXPECT_NEAR(kernel.stats().unserved_requests,
+                reference.stats().unserved_requests, 1e-9);
+  }
 }
 
 TEST(QosTracker, RecordRunsValidatesInputs) {
   QosTracker tracker;
-  EXPECT_THROW(tracker.record_runs(std::vector<LoadRun>{{-1.0, 5}}, 10.0),
+  EXPECT_THROW(tracker.record_runs_var(std::vector<LoadRun>{{-1.0, 5, 10.0}}),
                std::invalid_argument);
-  EXPECT_THROW(tracker.record_runs(std::vector<LoadRun>{{1.0, -5}}, 10.0),
+  EXPECT_THROW(tracker.record_runs_var(std::vector<LoadRun>{{1.0, -5, 10.0}}),
                std::invalid_argument);
-  EXPECT_THROW(tracker.record_runs(std::vector<LoadRun>{{1.0, 5}}, -1.0),
+  EXPECT_THROW(tracker.record_runs_var(std::vector<LoadRun>{{1.0, 5, -1.0}}),
                std::invalid_argument);
   // A zero-length run must not touch worst_shortfall.
-  tracker.record_runs(std::vector<LoadRun>{{500.0, 0}}, 10.0);
+  tracker.record_runs_var(std::vector<LoadRun>{{500.0, 0, 10.0}});
   EXPECT_EQ(tracker.stats().worst_shortfall, 0.0);
   EXPECT_EQ(tracker.stats().total_seconds, 0);
 }

@@ -10,6 +10,7 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <set>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -879,9 +880,16 @@ trace.duration = 1200
   EXPECT_EQ(plain.to_csv(), same.to_csv());
 }
 
-/// The sweep CSV minus the lifecycle-only columns (arrivals, departures,
-/// app<i>_active_seconds), header and rows alike.
-std::string csv_without_lifecycle_columns(const std::string& csv) {
+/// `csv` restricted to the columns whose header `other` also has, header
+/// and rows alike: the columns two sweep schemas share.
+std::string csv_shared_columns(const std::string& csv,
+                               const std::string& other) {
+  std::set<std::string> other_header;
+  {
+    std::stringstream cells(other.substr(0, other.find('\n')));
+    for (std::string cell; std::getline(cells, cell, ',');)
+      other_header.insert(cell);
+  }
   std::stringstream lines(csv);
   std::vector<char> keep;
   std::string out;
@@ -891,9 +899,7 @@ std::string csv_without_lifecycle_columns(const std::string& csv) {
     std::string row;
     std::size_t c = 0;
     for (std::string cell; std::getline(cells, cell, ','); ++c) {
-      if (header)
-        keep.push_back(cell != "arrivals" && cell != "departures" &&
-                       !cell.ends_with("_active_seconds"));
+      if (header) keep.push_back(other_header.count(cell) > 0);
       if (keep.at(c)) row += (row.empty() ? "" : ",") + cell;
     }
     out += row + '\n';
@@ -901,13 +907,13 @@ std::string csv_without_lifecycle_columns(const std::string& csv) {
   return out;
 }
 
-TEST(RunSweep, LifecycleWithoutChurnMatchesTheFixedTenantRun) {
-  // Departing exactly at the trace end turns the tenant-lifecycle
-  // machinery on (active mask, churn-bounded spans, the active-subset
-  // attribution loop) without any app ever leaving, so every shared CSV
-  // column and the metrics text must equal the fixed-tenant run's —
-  // on the event-driven path below and at the fleet threshold, and on the
-  // per-second reference.
+TEST(RunSweep, InertChannelSettingsMatchThePlainRun) {
+  // The simulator runs every runtime channel unconditionally, so each
+  // channel's "off" setting must be its identity state. Each row below
+  // configures a channel that can never act; every shared CSV column and
+  // the metrics text must equal the plain run's — on the event-driven
+  // path and the per-second reference, with 3 apps and with 5 (both sides
+  // of the 4-app consult-cache threshold).
   ScenarioSpec spec = parse_scenario(R"(name = steady
 catalog = real
 seed = 11
@@ -919,7 +925,7 @@ trace.days = 1
 trace.peak = 2000
 trace.noise = 0.05
 scheduler = bml
-predictor = oracle-max
+predictor = last-value
 [app]
 name = api
 trace = flash_crowd
@@ -938,28 +944,87 @@ trace.rate = 400
 trace.duration = 86400
 scheduler = reactive
 )");
-  const auto expect_same = [](const ScenarioSpec& fixed,
-                              const std::string& label) {
-    ScenarioSpec lifecycle = fixed;
-    for (AppSpec& app : lifecycle.apps) app.depart = 86400;
-    const SweepReport a = run_sweep(fixed, SweepOptions{.threads = 1});
-    const SweepReport b = run_sweep(lifecycle, SweepOptions{.threads = 1});
-    ASSERT_FALSE(a.rows[0].churn_enabled) << label;
-    ASSERT_TRUE(b.rows[0].churn_enabled) << label;
-    EXPECT_EQ(b.rows[0].departures, 0) << label;
-    EXPECT_EQ(csv_without_lifecycle_columns(a.to_csv()),
-              csv_without_lifecycle_columns(b.to_csv()))
-        << label;
-    EXPECT_FALSE(a.metrics.to_text().empty()) << label;
-    EXPECT_EQ(a.metrics.to_text(), b.metrics.to_text()) << label;
+  struct Inert {
+    const char* name;
+    void (*apply)(ScenarioSpec&);
+    /// Row flag the setting turns on (its CSV column group appears), or
+    /// null when the setting keeps the plain schema.
+    bool SweepRow::*configured;
   };
-  expect_same(spec, "3 apps, event-driven");
-  ScenarioSpec fleet = spec;
-  fleet.apps[0].replicas = 3;
-  expect_same(fleet, "5 apps, event-driven");
-  ScenarioSpec reference = spec;
-  reference.event_driven = false;
-  expect_same(reference, "3 apps, per-second");
+  const Inert inert_rows[] = {
+      {"SLO target without faults",
+       [](ScenarioSpec& s) {
+         for (AppSpec& app : s.apps) app.slo_availability = 0.999;
+       },
+       &SweepRow::slo_enabled},
+      {"equal non-zero priorities",
+       [](ScenarioSpec& s) {
+         for (AppSpec& app : s.apps) app.priority = 3;
+       },
+       nullptr},
+      {"degrade penalty without overload",
+       [](ScenarioSpec& s) {
+         s.degrade_penalty = 0.9;
+         s.degrade_overload_factor = 0.0;
+       },
+       nullptr},
+      // Departing exactly at the trace end turns the tenant-lifecycle
+      // machinery on (churn-bounded spans, the active-subset attribution)
+      // without any app ever leaving.
+      {"depart at the trace end",
+       [](ScenarioSpec& s) {
+         for (AppSpec& app : s.apps) app.depart = 86400;
+       },
+       &SweepRow::churn_enabled},
+  };
+  // Every channel accumulator sits at its identity value: a channel that
+  // cannot act must not account anything either.
+  const auto expect_channels_idle = [](const SweepRow& row,
+                                       const std::string& label) {
+    EXPECT_EQ(row.machine_failures, 0) << label;
+    EXPECT_EQ(row.availability, 1.0) << label;
+    EXPECT_EQ(row.spare_seconds, 0) << label;
+    EXPECT_EQ(row.overload_seconds, 0) << label;
+    EXPECT_EQ(row.penalty_lost, 0.0) << label;
+    EXPECT_EQ(row.preemptions, 0) << label;
+    EXPECT_EQ(row.arrivals, 0) << label;
+    EXPECT_EQ(row.departures, 0) << label;
+    for (const SweepAppRow& app : row.apps) {
+      EXPECT_EQ(app.availability, 1.0) << label << app.name;
+      EXPECT_EQ(app.spare_seconds, 0) << label << app.name;
+      EXPECT_EQ(app.overload_seconds, 0) << label << app.name;
+      EXPECT_EQ(app.preempted_seconds, 0) << label << app.name;
+      EXPECT_EQ(app.active_seconds, 86400) << label << app.name;
+    }
+  };
+  for (const bool event_driven : {true, false})
+    for (const int replicas : {1, 3}) {
+      ScenarioSpec plain = spec;
+      plain.event_driven = event_driven;
+      plain.apps[0].replicas = replicas;
+      const std::string label =
+          std::to_string(2 + replicas) + " apps, " +
+          (event_driven ? "event-driven" : "per-second") + ": ";
+      const SweepReport a = run_sweep(plain, SweepOptions{.threads = 1});
+      ASSERT_FALSE(a.metrics.to_text().empty()) << label;
+      // The trailing predictor under-provisions, so load does exceed
+      // capacity: an overload the inert degrade row must not count.
+      ASSERT_GT(a.rows[0].qos_violation_seconds, 0) << label;
+      expect_channels_idle(a.rows[0], label + "plain");
+      for (const Inert& row : inert_rows) {
+        ScenarioSpec inert = plain;
+        row.apply(inert);
+        const SweepReport b = run_sweep(inert, SweepOptions{.threads = 1});
+        if (row.configured != nullptr)
+          ASSERT_TRUE(b.rows[0].*row.configured) << label << row.name;
+        expect_channels_idle(b.rows[0], label + row.name);
+        EXPECT_EQ(csv_shared_columns(a.to_csv(), b.to_csv()),
+                  csv_shared_columns(b.to_csv(), a.to_csv()))
+            << label << row.name;
+        EXPECT_EQ(a.metrics.to_text(), b.metrics.to_text())
+            << label << row.name;
+      }
+    }
 }
 
 TEST(RunSweep, DegradeAndPriorityAxesKeepTheSharedBuild) {

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
 #include <memory>
@@ -805,6 +806,65 @@ TEST(SimulatorFastPath, FleetModeTenantChurnEverythingOn) {
   EXPECT_EQ(reference.apps[2].active_seconds, 64'800);
   EXPECT_EQ(reference.apps[4].active_seconds, 86'400 - 21'600);
   EXPECT_EQ(reference.apps[5].active_seconds, 57'600 - 28'800);
+}
+
+TEST(SimulatorLifecycle, ArrivalInARepairSecondLeavesPriorityFreeFleetAlone) {
+  // A priority-free run restores the fleet against the merged target only
+  // when a strike left a deficit. A tenant arriving in the same second as
+  // a repair completion is therefore provisioned by the next consult,
+  // never by a "replace failed" restore: every replacement start lands in
+  // a second where a machine failed.
+  const LoadTrace traces[] = {constant_trace(900.0, 86'400.0),
+                              constant_trace(600.0, 86'400.0)};
+  const std::string names[] = {"web", "late"};
+  const auto run_with = [&](TimePoint arrive) {
+    SimulatorOptions options;
+    options.event_driven = false;
+    options.record_events = true;
+    options.event_log_capacity = std::size_t{1} << 17;
+    options.faults.mtbf = 3600.0;
+    options.faults.mttr = 600.0;
+    options.faults.seed = 5;
+    const Simulator sim(design()->candidates(), options);
+    BmlScheduler web(design(), std::make_shared<OracleMaxPredictor>());
+    BmlScheduler late(design(), std::make_shared<OracleMaxPredictor>());
+    std::vector<Simulator::WorkloadView> views{
+        {&names[0], &traces[0], &web, QosClass::kTolerant, 1.0},
+        {&names[1], &traces[1], &late, QosClass::kTolerant, 1.0}};
+    views[1].arrive = arrive;
+    return sim.run(views);
+  };
+  // Nothing before the arrival depends on it, so every repair second of a
+  // run whose second tenant arrives at the very end is also a repair
+  // second of a run whose tenant arrives then.
+  const TimePoint last = 86'399;
+  std::vector<TimePoint> repairs;
+  const MultiSimulationResult probe = run_with(last);
+  for (const SimEvent& e : probe.total.events.events())
+    if (e.kind == EventKind::kMachineRepair && e.time < last &&
+        (repairs.empty() || repairs.back() != e.time))
+      repairs.push_back(e.time);
+  ASSERT_GE(repairs.size(), 3u);
+  if (repairs.size() > 8) repairs.resize(8);
+  for (const TimePoint arrive : repairs) {
+    const MultiSimulationResult r = run_with(arrive);
+    ASSERT_EQ(r.total.arrivals, 1) << arrive;
+    std::vector<TimePoint> failures;
+    bool repaired = false;
+    for (const SimEvent& e : r.total.events.events()) {
+      if (e.kind == EventKind::kMachineFailure) failures.push_back(e.time);
+      if (e.kind == EventKind::kMachineRepair && e.time == arrive)
+        repaired = true;
+    }
+    ASSERT_TRUE(repaired) << arrive;
+    for (const SimEvent& e : r.total.events.events())
+      if (e.kind == EventKind::kReconfigurationStart &&
+          e.detail.starts_with("replace failed"))
+        EXPECT_NE(std::find(failures.begin(), failures.end(), e.time),
+                  failures.end())
+            << "restore without a failure at t=" << e.time
+            << " (arrival at " << arrive << ")";
+  }
 }
 
 TEST(SimulatorFastPath, BootFaultScenario) {
