@@ -1,8 +1,11 @@
 // Tests for experiments/: every table/figure runner reproduces the paper's
-// qualitative claims on reduced-size configurations.
+// qualitative claims on reduced-size configurations, and the control-plane
+// comparisons beyond the paper hold as scenario specs.
 #include "experiments/experiments.hpp"
 
 #include <gtest/gtest.h>
+
+#include "scenario/sweep.hpp"
 
 namespace bml {
 namespace {
@@ -115,114 +118,216 @@ TEST(Fig5, QuickRunReproducesOrderingAndQos) {
   EXPECT_GE(r.max_overhead_pct(), r.mean_overhead_pct());
 }
 
+// Beyond the paper: control-plane comparisons stated as scenario specs,
+// run by the scenario engine with one result per grid point.
+std::vector<ScenarioResult> run_spec(const std::string& text) {
+  return run_sweep(parse_scenario(text), {.keep_results = true}).results;
+}
+
+// A diurnal web frontend and a steady batch service, colocated on one pool
+// sized for their aggregate peak or each alone on a pool sized for its own.
+constexpr const char* kColocation = R"(seed = 7
+[app]
+name = frontend
+trace = diurnal
+trace.peak = 1500
+trace.noise = 0.02
+[app]
+name = batch
+trace = constant
+trace.rate = 400
+trace.duration = 86400
+)";
+
 TEST(Colocation, SharedPoolAttributesBothAppsAndSavesEnergy) {
-  const ColocationResult r = run_colocation(1, 7);
-  ASSERT_EQ(r.colocated.apps.size(), 2u);
-  ASSERT_EQ(r.isolated.size(), 2u);
-  EXPECT_EQ(r.colocated.apps[0].name, "frontend");
-  EXPECT_EQ(r.colocated.apps[1].name, "batch");
-  EXPECT_GT(r.colocated.apps[0].compute_energy, 0.0);
-  EXPECT_GT(r.colocated.apps[1].compute_energy, 0.0);
-  EXPECT_GT(r.colocated_total(), 0.0);
-  EXPECT_GT(r.isolated_total(), 0.0);
+  const ScenarioResult colocated = run_spec(kColocation).front();
+  Joules isolated_total = 0.0;
+  for (const AppSpec& app : colocated.spec.apps) {
+    ScenarioSpec isolated = colocated.spec;
+    isolated.apps = {app};
+    isolated_total += run_scenario(isolated).sim.total_energy();
+  }
+  EXPECT_GT(isolated_total, 0.0);
+  ASSERT_EQ(colocated.apps.size(), 2u);
+  EXPECT_EQ(colocated.apps[0].name, "frontend");
+  EXPECT_EQ(colocated.apps[1].name, "batch");
+  EXPECT_GT(colocated.apps[0].compute_energy, 0.0);
+  EXPECT_GT(colocated.apps[1].compute_energy, 0.0);
+  EXPECT_GT(colocated.sim.total_energy(), 0.0);
   // Per-app shares sum back to the shared cluster's totals.
   EXPECT_NEAR(
-      r.colocated.apps[0].compute_energy + r.colocated.apps[1].compute_energy,
-      r.colocated.total.compute_energy,
-      1e-9 * r.colocated.total.compute_energy);
+      colocated.apps[0].compute_energy + colocated.apps[1].compute_energy,
+      colocated.sim.compute_energy, 1e-9 * colocated.sim.compute_energy);
   // Pooling the fleet cannot do much worse than dedicated clusters (the
   // dispatcher fills the shared machines' cheapest slopes with both apps'
   // traffic); allow a small tolerance for reconfiguration timing.
-  EXPECT_LT(r.colocated_total(), 1.10 * r.isolated_total());
+  EXPECT_LT(colocated.sim.total_energy(), 1.10 * isolated_total);
 }
+
+// Web and batch share one rack-struck fault domain with a single repair
+// crew. Strikes depend on the seed alone, so every grid point below replays
+// the same outages; slo.* stays inert until a point sets a target.
+constexpr const char* kRackPool = R"(seed = 7
+faults.groups = 2
+faults.group_mtbf = 10800
+faults.group_mttr = 1800
+faults.crews = 1
+slo.window = 7200
+[app]
+name = frontend
+trace = diurnal
+trace.peak = 1500
+trace.noise = 0.05
+fault_domain = rack-pool
+slo.spare = 0.5
+[app]
+name = batch
+trace = constant
+trace.rate = 500
+trace.duration = 86400
+fault_domain = rack-pool
+)";
+
+// Without (row 0) and with (row 1) the SLO feedback loop's spares.
+const std::string kSloRackStrikes =
+    std::string(kRackPool) + "sweep app0.slo.availability = 0,0.999\n";
 
 TEST(SloRackStrikes, FeedbackRecoversServiceAtQuantifiedEnergyCost) {
-  const SloRackStrikeResult r = run_slo_rackstrikes(1, 7);
-  ASSERT_EQ(r.aware.apps.size(), 2u);
-  ASSERT_EQ(r.baseline.apps.size(), 2u);
+  const std::vector<ScenarioResult> runs = run_spec(kSloRackStrikes);
+  ASSERT_EQ(runs.size(), 2u);
+  const ScenarioResult &baseline = runs[0], &aware = runs[1];
+  ASSERT_EQ(aware.apps.size(), 2u);
+  ASSERT_EQ(baseline.apps.size(), 2u);
   // Rack strikes landed, and the aware run actually provisioned spares.
-  EXPECT_GT(r.baseline.total.group_strikes, 0);
-  EXPECT_GT(r.aware.total.spare_seconds, 0);
-  EXPECT_GT(r.aware.total.spare_energy, 0.0);
-  EXPECT_EQ(r.baseline.total.spare_seconds, 0);
-  EXPECT_DOUBLE_EQ(r.baseline.total.spare_energy, 0.0);
+  EXPECT_GT(baseline.sim.group_strikes, 0);
+  EXPECT_GT(aware.sim.spare_seconds, 0);
+  EXPECT_GT(aware.sim.spare_energy, 0.0);
+  EXPECT_EQ(baseline.sim.spare_seconds, 0);
+  EXPECT_DOUBLE_EQ(baseline.sim.spare_energy, 0.0);
   // The feedback loop bridges replacement-boot windows: the SLO app loses
-  // fewer seconds of service than under the non-aware coordinator.
-  EXPECT_GT(r.violation_recovered_s(), 0);
-  EXPECT_GE(r.aware.apps[0].qos_stats.served_fraction(),
-            r.baseline.apps[0].qos_stats.served_fraction());
+  // fewer seconds of service than under the non-aware coordinator...
+  const auto recovered_s = baseline.apps[0].qos_stats.violation_seconds -
+                           aware.apps[0].qos_stats.violation_seconds;
+  EXPECT_GT(recovered_s, 0);
+  EXPECT_GE(aware.apps[0].qos_stats.served_fraction(),
+            baseline.apps[0].qos_stats.served_fraction());
   // ...at a real, quantified energy cost (the spares idle).
-  EXPECT_GT(r.energy_cost(), 0.0);
+  const Joules energy_cost =
+      aware.sim.total_energy() - baseline.sim.total_energy();
+  EXPECT_GT(energy_cost, 0.0);
   // The spare overlay is attribution, not double counting.
-  EXPECT_LT(r.aware.total.spare_energy, r.aware.total.compute_energy);
-  EXPECT_EQ(r.aware.apps[0].spare_seconds, r.aware.total.spare_seconds);
+  EXPECT_LT(aware.sim.spare_energy, aware.sim.compute_energy);
+  EXPECT_EQ(aware.apps[0].spare_seconds, aware.sim.spare_seconds);
   // Determinism: same seed, same deltas.
-  const SloRackStrikeResult again = run_slo_rackstrikes(1, 7);
-  EXPECT_EQ(again.violation_recovered_s(), r.violation_recovered_s());
-  EXPECT_EQ(again.energy_cost(), r.energy_cost());
+  const std::vector<ScenarioResult> again = run_spec(kSloRackStrikes);
+  EXPECT_EQ(again[0].apps[0].qos_stats.violation_seconds -
+                again[1].apps[0].qos_stats.violation_seconds,
+            recovered_s);
+  EXPECT_EQ(again[1].sim.total_energy() - again[0].sim.total_energy(),
+            energy_cost);
 }
 
+// Brittle (row 0: spill-over dropped, no priorities) against graceful
+// (row 3: spill-over absorbed at a penalty, and strikes preempt batch
+// capacity for the priority-2 frontend); rows 1-2 switch on one each.
+const std::string kDegradedPriority =
+    std::string(kRackPool) +
+    "sweep degrade.overload_factor = 0,0.5\nsweep app0.priority = 0,2\n";
+
 TEST(DegradedPriority, LeanFleetTradesContentionForBootStorms) {
-  const DegradedPriorityResult r = run_degraded_priority(1, 7);
-  ASSERT_EQ(r.aware.apps.size(), 2u);
-  ASSERT_EQ(r.baseline.apps.size(), 2u);
+  const std::vector<ScenarioResult> runs = run_spec(kDegradedPriority);
+  ASSERT_EQ(runs.size(), 4u);
+  const ScenarioResult &baseline = runs[0], &aware = runs[3];
+  ASSERT_EQ(aware.apps.size(), 2u);
+  ASSERT_EQ(baseline.apps.size(), 2u);
   // Identical strike timeline in both runs.
-  EXPECT_GT(r.aware.total.group_strikes, 0);
-  EXPECT_EQ(r.aware.total.group_strikes, r.baseline.total.group_strikes);
+  EXPECT_GT(aware.sim.group_strikes, 0);
+  EXPECT_EQ(aware.sim.group_strikes, baseline.sim.group_strikes);
   // Strikes preempted low-priority capacity, and only the batch service
   // (priority 0) bears the preempted seconds.
-  EXPECT_GT(r.aware.total.preemptions, 0);
-  EXPECT_EQ(r.baseline.total.preemptions, 0);
-  EXPECT_GT(r.aware.apps[1].preempted_seconds, 0);
-  EXPECT_EQ(r.aware.apps[0].preempted_seconds, 0);
+  EXPECT_GT(aware.sim.preemptions, 0);
+  EXPECT_EQ(baseline.sim.preemptions, 0);
+  EXPECT_GT(aware.apps[1].preempted_seconds, 0);
+  EXPECT_EQ(aware.apps[0].preempted_seconds, 0);
   // The lean fleet runs overloaded while repairs queue; the degrade model
   // accounts every contended second and the capacity the penalty burned.
-  EXPECT_GT(r.aware.total.overload_seconds, 0);
-  EXPECT_GT(r.aware.total.penalty_lost_capacity, 0.0);
-  EXPECT_EQ(r.baseline.total.overload_seconds, 0);
-  EXPECT_DOUBLE_EQ(r.baseline.total.penalty_lost_capacity, 0.0);
+  EXPECT_GT(aware.sim.overload_seconds, 0);
+  EXPECT_GT(aware.sim.penalty_lost_capacity, 0.0);
+  EXPECT_EQ(baseline.sim.overload_seconds, 0);
+  EXPECT_DOUBLE_EQ(baseline.sim.penalty_lost_capacity, 0.0);
   // Per-app penalty shares are an exact decomposition of the cluster loss.
-  EXPECT_NEAR(r.aware.apps[0].penalty_lost_capacity +
-                  r.aware.apps[1].penalty_lost_capacity,
-              r.aware.total.penalty_lost_capacity,
-              1e-9 * r.aware.total.penalty_lost_capacity);
+  EXPECT_NEAR(aware.apps[0].penalty_lost_capacity +
+                  aware.apps[1].penalty_lost_capacity,
+              aware.sim.penalty_lost_capacity,
+              1e-9 * aware.sim.penalty_lost_capacity);
   // The frugal direction of the robustness trade: replacement boot-storms
   // skipped (energy saved) while spill-over absorption holds the web
   // app's service nearly flat.
-  EXPECT_GT(r.energy_saved(), 0.0);
-  EXPECT_GT(r.served_delta(), -0.002);
+  const Joules energy_saved =
+      baseline.sim.total_energy() - aware.sim.total_energy();
+  EXPECT_GT(energy_saved, 0.0);
+  EXPECT_GT(aware.apps[0].qos_stats.served_fraction() -
+                baseline.apps[0].qos_stats.served_fraction(),
+            -0.002);
   // Determinism: same seed, same deltas.
-  const DegradedPriorityResult again = run_degraded_priority(1, 7);
-  EXPECT_EQ(again.energy_saved(), r.energy_saved());
-  EXPECT_EQ(again.aware.total.preemptions, r.aware.total.preemptions);
-  EXPECT_EQ(again.aware.total.overload_seconds,
-            r.aware.total.overload_seconds);
+  const std::vector<ScenarioResult> again = run_spec(kDegradedPriority);
+  EXPECT_EQ(again[0].sim.total_energy() - again[3].sim.total_energy(),
+            energy_saved);
+  EXPECT_EQ(again[3].sim.preemptions, aware.sim.preemptions);
+  EXPECT_EQ(again[3].sim.overload_seconds, aware.sim.overload_seconds);
 }
 
+// A diurnal web frontend under the partitioned coordinator (shares mirror
+// the 1500 vs 500 req/s demand ratio, so the budget never chokes it) next
+// to a batch visitor provisioned all day, or (with arrive/depart appended
+// to its section, the last) resident for the middle half of the day only.
+constexpr const char* kTenantChurn = R"(seed = 7
+coordinator = partitioned
+[app]
+name = frontend
+trace = diurnal
+trace.peak = 1500
+trace.noise = 0.05
+share = 3
+[app]
+name = visitor
+trace = constant
+trace.rate = 500
+trace.duration = 86400
+)";
+
 TEST(TenantChurn, AwareCoordinatorBeatsStaticOverProvisioning) {
-  const TenantChurnResult r = run_tenant_churn(1, 7);
-  ASSERT_EQ(r.aware.apps.size(), 2u);
-  ASSERT_EQ(r.baseline.apps.size(), 2u);
+  const std::string aware_text =
+      std::string(kTenantChurn) + "arrive = 21600\ndepart = 64800\n";
+  const ScenarioResult baseline = run_spec(kTenantChurn).front();
+  const ScenarioResult aware = run_spec(aware_text).front();
+  ASSERT_EQ(aware.apps.size(), 2u);
+  ASSERT_EQ(baseline.apps.size(), 2u);
   // The aware run logs the visitor's residency; the static run has no
   // lifecycle at all.
-  EXPECT_EQ(r.aware.total.arrivals, 1);
-  EXPECT_EQ(r.aware.total.departures, 1);
-  EXPECT_EQ(r.baseline.total.arrivals, 0);
-  EXPECT_EQ(r.baseline.total.departures, 0);
+  EXPECT_EQ(aware.sim.arrivals, 1);
+  EXPECT_EQ(aware.sim.departures, 1);
+  EXPECT_EQ(baseline.sim.arrivals, 0);
+  EXPECT_EQ(baseline.sim.departures, 0);
   // Attribution integrates over the residency window only.
-  EXPECT_EQ(r.aware.apps[1].active_seconds, r.depart - r.arrive);
-  EXPECT_EQ(r.aware.apps[0].active_seconds, 86'400);
-  EXPECT_EQ(r.baseline.apps[1].active_seconds, 86'400);
+  EXPECT_EQ(aware.apps[1].active_seconds, 64'800 - 21'600);
+  EXPECT_EQ(aware.apps[0].active_seconds, 86'400);
+  EXPECT_EQ(baseline.apps[1].active_seconds, 86'400);
   // Draining the absent tenant's machines beats holding them all day,
   // without degrading the always-on frontend.
-  EXPECT_GT(r.energy_saved(), 0.0);
-  EXPECT_GT(r.frontend_served_delta(), -0.002);
-  EXPECT_LT(r.aware.apps[1].compute_energy, r.baseline.apps[1].compute_energy);
+  const Joules energy_saved =
+      baseline.sim.total_energy() - aware.sim.total_energy();
+  EXPECT_GT(energy_saved, 0.0);
+  EXPECT_GT(aware.apps[0].qos_stats.served_fraction() -
+                baseline.apps[0].qos_stats.served_fraction(),
+            -0.002);
+  EXPECT_LT(aware.apps[1].compute_energy, baseline.apps[1].compute_energy);
   // Determinism: same seed, same deltas.
-  const TenantChurnResult again = run_tenant_churn(1, 7);
-  EXPECT_EQ(again.energy_saved(), r.energy_saved());
-  EXPECT_EQ(again.aware.total.reconfigurations,
-            r.aware.total.reconfigurations);
+  const ScenarioResult again = run_spec(aware_text).front();
+  EXPECT_EQ(run_spec(kTenantChurn).front().sim.total_energy() -
+                again.sim.total_energy(),
+            energy_saved);
+  EXPECT_EQ(again.sim.reconfigurations, aware.sim.reconfigurations);
 }
 
 TEST(Fig5, StaticFleetNeverReconfigures) {

@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -84,6 +85,23 @@ TEST(ScenarioSpec, FileRoundTrip) {
   save_scenario(spec, path);
   EXPECT_EQ(load_scenario(path), spec);
   std::filesystem::remove(path);
+}
+
+TEST(ScenarioSpec, ShippedSpecsRoundTripAndPinTheirGridSizes) {
+  // A new examples/specs/*.scn must be pinned here.
+  std::map<std::string, std::size_t> grid_sizes;
+  for (const auto& entry : std::filesystem::directory_iterator(
+           std::filesystem::path(BML_SOURCE_DIR) / "examples" / "specs")) {
+    SCOPED_TRACE(entry.path().filename().string());
+    const ScenarioSpec spec = load_scenario(entry.path());
+    EXPECT_EQ(parse_scenario(write_scenario(spec)), spec);
+    grid_sizes[entry.path().stem().string()] = expand_sweep(spec).size();
+  }
+  EXPECT_EQ(grid_sizes, (std::map<std::string, std::size_t>{
+                            {"degraded_priority", 2}, {"faulty_multiapp", 6},
+                            {"fig5_worldcup", 3}, {"fleet_scale", 1},
+                            {"multiapp_demo", 4}, {"rack_strikes", 2},
+                            {"sweep_demo", 24}, {"tenant_churn", 2}}));
 }
 
 TEST(ScenarioSpec, UnknownKeyThrowsWithLineContext) {
